@@ -1,13 +1,15 @@
 package engine
 
-// This file is the columnar chunk layer of the execution engine. A Chunk
-// stores one segment's share of an in-flight relation in struct-of-arrays
-// layout: each column is a flat []int64 plus an optional null bitmap,
-// instead of one []Datum allocation per row. The hot operators (join,
-// group-by, distinct, shuffle, sort) run as kernels directly over chunks;
-// rows only exist at the storage boundary (Table.Parts, ReadAll, Query
-// results), where the conversion shims below translate. The public API —
-// Datum, Row, Table, Plan — is unchanged by the columnar representation.
+// This file is the columnar chunk layer of the engine. A Chunk stores one
+// segment's share of a relation in struct-of-arrays layout: each column is
+// a flat []int64 plus an optional null bitmap, instead of one []Datum
+// allocation per row. It is the one data layout of the engine: tables
+// store one chunk per segment, scans hand those chunks to the operators,
+// the hot operators (join, group-by, distinct, shuffle, sort) run as
+// kernels directly over chunks, CreateTableAs stores the chunks its plan
+// produced, and spill frames encode chunks. Rows exist only at the public
+// API edges — InsertRows input, DeleteRows predicates, ReadAll and Query
+// results, ValuesPlan — where the conversions below translate.
 
 // nullBitmap marks the NULL rows of one chunk column, one bit per row. A
 // nil bitmap means the column contains no NULLs, so the common all-valid
@@ -31,8 +33,9 @@ func (b nullBitmap) clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
 // Chunk is one segment's rows in columnar struct-of-arrays layout: the
 // value of column c in row r is cols[c][r], and nulls[c] (if non-nil)
 // marks the rows where that column is SQL NULL. Chunks are immutable once
-// an operator has produced them — like rows, they may be shared between
-// concurrent readers and aliased across operators without copying.
+// an operator has produced them or a table has stored them, so they may
+// be shared between tables, concurrent readers and operators without
+// copying.
 type Chunk struct {
 	length int
 	cols   [][]int64
@@ -114,42 +117,47 @@ func (ch *Chunk) ensureNulls(c int) nullBitmap {
 	return ch.nulls[c]
 }
 
-// rowsToChunk converts one segment's stored rows into a chunk — the scan
-// shim at the Table boundary.
+// rowsToChunk converts rows into one chunk — the ValuesPlan edge of the
+// engine, and the component index's view of an insert.
 func rowsToChunk(rows []Row, ncols int) *Chunk {
 	ch := newChunk(ncols, len(rows))
-	for c := 0; c < ncols; c++ {
-		col := ch.cols[c]
-		for r, row := range rows {
-			d := row[c]
-			if d.Null {
-				ch.ensureNulls(c).set(r)
-			} else {
-				col[r] = d.Int
-			}
-		}
+	for r, row := range rows {
+		ch.setRow(r, row)
 	}
 	return ch
 }
 
-// chunkToRows materialises a chunk as rows — the shim at the CreateTableAs
-// and Query boundaries. All rows share one flat Datum backing array (rows
-// are immutable once stored), so the conversion costs two allocations, not
-// one per row. Empty chunks return nil, matching the engine's historical
-// empty-partition representation.
-func chunkToRows(ch *Chunk) []Row {
-	n, w := ch.length, len(ch.cols)
+// setRow stores row as row r of a chunk that is still being filled.
+func (ch *Chunk) setRow(r int, row Row) {
+	for c := range ch.cols {
+		if d := row[c]; d.Null {
+			ch.ensureNulls(c).set(r)
+		} else {
+			ch.cols[c][r] = d.Int
+		}
+	}
+}
+
+// chunkToRows materialises chunks of one arity as rows, in order — the
+// Query, ReadAll and DeleteRows edge of the engine. All rows share one
+// flat Datum backing array, so the conversion costs two allocations, not
+// one per row. No rows at all return nil.
+func chunkToRows(chunks ...*Chunk) []Row {
+	n := int(countRows(chunks))
 	if n == 0 {
 		return nil
 	}
+	w := len(chunks[0].cols)
 	flat := make([]Datum, n*w)
-	rows := make([]Row, n)
-	for r := 0; r < n; r++ {
-		row := flat[r*w : (r+1)*w : (r+1)*w]
-		for c := 0; c < w; c++ {
-			row[c] = ch.datum(c, r)
+	rows := make([]Row, 0, n)
+	for _, ch := range chunks {
+		for r := 0; r < ch.length; r++ {
+			row := flat[len(rows)*w : (len(rows)+1)*w : (len(rows)+1)*w]
+			for c := range row {
+				row[c] = ch.datum(c, r)
+			}
+			rows = append(rows, row)
 		}
-		rows[r] = row
 	}
 	return rows
 }

@@ -274,7 +274,7 @@ func TestInsertRowsRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab, _ := c.Table("t")
-	for seg, part := range tab.Parts {
+	for seg, part := range segmentRows(tab) {
 		n := len(part)
 		if n < 10 || n > 11 { // 42 rows over 4 segments
 			t.Errorf("segment %d holds %d rows, want 10 or 11", seg, n)
@@ -285,7 +285,7 @@ func TestInsertRowsRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for seg, part := range tab.Parts {
+	for seg, part := range segmentRows(tab) {
 		total += len(part)
 		if len(part) == 0 {
 			t.Errorf("segment %d empty after 48 rows", seg)

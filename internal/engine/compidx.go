@@ -118,17 +118,17 @@ func (x *ComponentIndex) find(v int64, touched *int64) int64 {
 	return root
 }
 
-// observe folds a batch of inserted rows into the labelling, emitting one
-// merge event per actual union. Rows whose first two columns are not both
-// non-NULL int64s are ignored (they carry no edge). Returns the labels
-// touched and merges performed, for the cluster counters.
-func (x *ComponentIndex) observe(rows []Row) (touched, merges int64) {
+// observe folds a chunk of inserted rows into the labelling, in row
+// order, emitting one merge event per actual union. Rows whose first two
+// columns are not both non-NULL carry no edge and are ignored. Returns the
+// labels touched and merges performed, for the cluster counters.
+func (x *ComponentIndex) observe(ch *Chunk) (touched, merges int64) {
 	x.mu.Lock()
-	for _, r := range rows {
-		if len(r) < 2 || r[0].Null || r[1].Null {
+	for r := 0; r < ch.length; r++ {
+		if ch.nulls[0].get(r) || ch.nulls[1].get(r) {
 			continue
 		}
-		v, w := r[0].Int, r[1].Int
+		v, w := ch.cols[0][r], ch.cols[1][r]
 		if x.rebuilding {
 			x.backlog = append(x.backlog, [2]int64{v, w})
 		}
@@ -304,9 +304,9 @@ func (c *Cluster) CreateComponentIndex(table string) error {
 	// Fold in the rows already stored. Rows inserted concurrently are fed
 	// through the InsertRows hook; re-observing an edge is idempotent.
 	var rows int64
-	for _, p := range t.snapshotParts() {
-		touched, merges := x.observe(p)
-		rows += int64(len(p))
+	for _, ch := range t.snapshot() {
+		touched, merges := x.observe(ch)
+		rows += int64(ch.length)
 		c.addIndexCounters(touched, merges, 0)
 	}
 	c.addTrace(TraceRecord{
@@ -341,16 +341,17 @@ func (c *Cluster) ComponentIndex(table string) (*ComponentIndex, bool) {
 	return x, ok
 }
 
-// feedIndex folds freshly inserted rows into the table's component index,
-// if one exists. Called by InsertRows after the table locks are released.
-func (c *Cluster) feedIndex(table string, rows []Row) {
+// feedIndex folds freshly inserted rows, in input order, into the table's
+// component index, if one exists. Called by InsertRows after the table
+// lock is released.
+func (c *Cluster) feedIndex(table string, rows []Row, ncols int) {
 	c.idxMu.Lock()
 	x, ok := c.indexes[table]
 	c.idxMu.Unlock()
 	if !ok {
 		return
 	}
-	touched, merges := x.observe(rows)
+	touched, merges := x.observe(rowsToChunk(rows, ncols))
 	c.addIndexCounters(touched, merges, 0)
 }
 
@@ -425,8 +426,8 @@ func (c *Cluster) rescanLabels(table string) (map[int64]int64, error) {
 		return nil, fmt.Errorf("engine: table %q does not exist", table)
 	}
 	scratch := newComponentIndex(c, table)
-	for _, p := range t.snapshotParts() {
-		scratch.observe(p)
+	for _, ch := range t.snapshot() {
+		scratch.observe(ch)
 	}
 	return scratch.Labels(), nil
 }

@@ -25,12 +25,14 @@
 //   - c.mu (RWMutex) guards the catalog: the tables map, the UDF registry
 //     and Table.Name. Lookups take the read lock; create/drop/rename take
 //     the write lock. No query execution happens while holding c.mu.
-//   - t.mu (RWMutex, per Table) guards Table.Parts. Scans snapshot the
-//     per-segment slice headers under the read lock; InsertRows replaces
-//     the mutated partitions with freshly allocated slices under the write
-//     lock, so a snapshot taken before an insert never shares a backing
-//     array element with a concurrent append. Rows are immutable once
-//     stored — operators must build new rows, never modify scanned ones.
+//   - t.mu (RWMutex, per Table) guards the table's per-segment chunk
+//     pointers. Scans copy the pointers under the read lock and then read
+//     the chunks lock-free; InsertRows and DeleteRows replace each touched
+//     segment with a freshly built chunk under the write lock
+//     (copy-on-write), so a snapshot taken before a write keeps seeing
+//     exactly the rows it saw. Chunks are immutable once stored — a table
+//     and a scan of it share them, and operators must build new chunks,
+//     never modify scanned ones.
 //   - c.statsMu (Mutex) guards the Stats counters, the query log and the
 //     concurrency gauges. It is a leaf lock: nothing else is acquired
 //     while holding it.
@@ -102,28 +104,25 @@ func (s Schema) ColIndex(name string) int {
 // distribution (rows may live on any segment).
 const NoDistKey = -1
 
-// Table is a hash-distributed table: rows whose distribution-key column
-// hashes to segment i live in Parts[i]. Parts is guarded by mu; use
-// Cluster.ReadAll (or hold no concurrent writers, as tests do) rather than
-// iterating Parts directly while the cluster is shared.
+// Table is a hash-distributed table stored column-wise: the rows whose
+// distribution-key column hashes to segment i form one immutable chunk,
+// parts[i] — the layout operators and spill frames use, so a scan hands
+// the stored chunks to the plan without copying them. Read a table's rows
+// with Cluster.ReadAll.
 type Table struct {
 	Name    string
 	Schema  Schema
 	DistKey int // column index rows are distributed by, or NoDistKey
-	Parts   [][]Row
 
-	mu sync.RWMutex // guards Parts
+	mu    sync.RWMutex // guards parts
+	parts []*Chunk
 }
 
 // Rows returns the total row count across all segments.
 func (t *Table) Rows() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var n int64
-	for _, p := range t.Parts {
-		n += int64(len(p))
-	}
-	return n
+	return countRows(t.parts)
 }
 
 // Bytes returns the modelled storage footprint of the table.
@@ -131,13 +130,21 @@ func (t *Table) Bytes() int64 {
 	return t.Rows() * int64(len(t.Schema)) * DatumSize
 }
 
-// snapshotParts returns a copy of the per-segment slice headers. The rows
-// themselves are shared and immutable; concurrent inserts replace whole
-// partitions, so the snapshot stays a consistent point-in-time view.
-func (t *Table) snapshotParts() [][]Row {
+// snapshot returns a copy of the per-segment chunk pointers: a consistent
+// point-in-time view, since writers replace chunks instead of changing them.
+func (t *Table) snapshot() []*Chunk {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append([][]Row(nil), t.Parts...)
+	return append([]*Chunk(nil), t.parts...)
+}
+
+// countRows returns the total row count of a per-segment chunk set.
+func countRows(parts []*Chunk) int64 {
+	var n int64
+	for _, ch := range parts {
+		n += int64(ch.length)
+	}
+	return n
 }
 
 // QueryStat records the bookkeeping of one executed query (one
@@ -552,7 +559,7 @@ func (c *Cluster) CreateTable(name string, schema Schema, distKey int) (*Table, 
 	if distKey != NoDistKey && (distKey < 0 || distKey >= len(schema)) {
 		return nil, fmt.Errorf("engine: distribution key %d out of range for %v", distKey, schema)
 	}
-	t := &Table{Name: name, Schema: schema, DistKey: distKey, Parts: make([][]Row, c.segments)}
+	t := &Table{Name: name, Schema: schema, DistKey: distKey, parts: c.newParts(len(schema))}
 	c.mu.Lock()
 	if _, exists := c.tables[name]; exists {
 		c.mu.Unlock()
@@ -567,9 +574,10 @@ func (c *Cluster) CreateTable(name string, schema Schema, distKey int) (*Table, 
 }
 
 // InsertRows bulk-loads rows into an existing table, distributing them by
-// the table's distribution key, and accounts for the write. Mutated
-// partitions are replaced with freshly allocated slices so concurrent
-// scans keep reading their consistent snapshots.
+// the table's distribution key (round-robin for NoDistKey tables), and
+// accounts for the write. Each touched segment's chunk is replaced by a
+// fresh one holding its old rows followed by its new rows in input order,
+// so concurrent scans keep reading their consistent snapshots.
 func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
 	defer recoverToError("insert", &err)
 	start := time.Now()
@@ -582,34 +590,34 @@ func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
 			return fmt.Errorf("engine: row arity %d does not match schema %v", len(r), t.Schema)
 		}
 	}
-	t.mu.Lock()
-	// Counting pass: compute each row's segment once, so the per-segment
-	// buffers below are allocated at exact capacity instead of append-grown.
 	segOf := make([]int32, len(rows))
 	counts := make([]int, c.segments)
-	cursor := len(t.Parts[0]) // round-robin cursor for tables without a distribution key
+	t.mu.Lock()
+	// The round-robin cursor continues from the table's row count, so
+	// successive small inserts keep the segments within one row of each other.
+	cursor := countRows(t.parts)
 	for i, r := range rows {
-		seg := 0
+		seg := int((cursor + int64(i)) % int64(c.segments))
 		if t.DistKey != NoDistKey {
 			seg = c.hashDatum(r[t.DistKey])
-		} else {
-			seg = cursor % c.segments
-			cursor++
 		}
 		segOf[i] = int32(seg)
 		counts[seg]++
 	}
+	// Counting first lets each touched segment's replacement chunk be
+	// allocated at exact size and filled in place; counts then becomes
+	// each segment's fill cursor.
 	for seg, n := range counts {
-		if n == 0 {
-			continue
+		if n > 0 {
+			grown := newChunk(len(t.Schema), t.parts[seg].length+n)
+			counts[seg] = copyChunkInto(grown, t.parts[seg], 0)
+			t.parts[seg] = grown
 		}
-		merged := make([]Row, 0, len(t.Parts[seg])+n)
-		merged = append(merged, t.Parts[seg]...)
-		t.Parts[seg] = merged
 	}
 	for i, r := range rows {
 		seg := segOf[i]
-		t.Parts[seg] = append(t.Parts[seg], r)
+		t.parts[seg].setRow(counts[seg], r)
+		counts[seg]++
 	}
 	t.mu.Unlock()
 	bytes := int64(len(rows)) * int64(len(t.Schema)) * DatumSize
@@ -623,15 +631,15 @@ func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
 		Start:   start,
 		Elapsed: time.Since(start),
 	})
-	// Incremental index maintenance happens after the table locks are
-	// released; the index has its own lock and the rows are immutable.
-	c.feedIndex(name, rows)
+	// Incremental index maintenance happens after the table lock is
+	// released; the index has its own lock and observes the input in order.
+	c.feedIndex(name, rows, len(t.Schema))
 	return nil
 }
 
 // DeleteRows removes the rows of a table for which keep returns false,
-// releasing their space, and returns the number of rows removed. Mutated
-// partitions are replaced with fresh slices so concurrent scans keep their
+// releasing their space, and returns the number of rows removed. Touched
+// segments are replaced with fresh chunks so concurrent scans keep their
 // snapshots. A component index on the table goes stale on any removal and
 // is rebuilt before DeleteRows returns (see compidx.go).
 func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, err error) {
@@ -641,27 +649,7 @@ func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, e
 	if !ok {
 		return 0, fmt.Errorf("engine: table %q does not exist", name)
 	}
-	t.mu.Lock()
-	for seg, part := range t.Parts {
-		n := 0
-		for _, r := range part {
-			if keep(r) {
-				n++
-			}
-		}
-		if n == len(part) {
-			continue
-		}
-		kept := make([]Row, 0, n)
-		for _, r := range part {
-			if keep(r) {
-				kept = append(kept, r)
-			}
-		}
-		removed += int64(len(part) - n)
-		t.Parts[seg] = kept
-	}
-	t.mu.Unlock()
+	removed = t.deleteWhere(keep)
 	bytes := removed * int64(len(t.Schema)) * DatumSize
 	c.statsMu.Lock()
 	c.stats.Queries++
@@ -682,6 +670,31 @@ func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, e
 		return removed, err
 	}
 	return removed, nil
+}
+
+// deleteWhere replaces every segment holding rows keep rejects with a
+// chunk of the rows it accepts. The new chunks are published together
+// after keep has seen every row, so a keep that panics leaves the table
+// unchanged, and the deferred unlock leaves it readable.
+func (t *Table) deleteWhere(keep func(Row) bool) (removed int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	next := append([]*Chunk(nil), t.parts...)
+	var kept []int32
+	for seg, ch := range t.parts {
+		kept = kept[:0]
+		for r, row := range chunkToRows(ch) {
+			if keep(row) {
+				kept = append(kept, int32(r))
+			}
+		}
+		if len(kept) < ch.length {
+			removed += int64(ch.length - len(kept))
+			next[seg] = gatherChunk(ch, kept)
+		}
+	}
+	t.parts = next
+	return removed
 }
 
 // DropTable removes a table from the catalog. Its space is released
@@ -736,11 +749,7 @@ func (c *Cluster) ReadAll(name string) ([]Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", name)
 	}
-	var out []Row
-	for _, p := range t.snapshotParts() {
-		out = append(out, p...)
-	}
-	return out, nil
+	return chunkToRows(t.snapshot()...), nil
 }
 
 // accountWrite records a completed write of rows/bytes into the catalog.

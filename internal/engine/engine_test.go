@@ -22,6 +22,15 @@ func mustCreate(t *testing.T, c *Cluster, name string, schema Schema, distKey in
 	}
 }
 
+// segmentRows returns each segment's stored rows, in segment order.
+func segmentRows(tab *Table) [][]Row {
+	var out [][]Row
+	for _, ch := range tab.snapshot() {
+		out = append(out, chunkToRows(ch))
+	}
+	return out
+}
+
 // pairs builds two-column rows from int64 pairs.
 func pairs(vals ...[2]int64) []Row {
 	rows := make([]Row, len(vals))
@@ -89,7 +98,7 @@ func TestDistributionInvariant(t *testing.T) {
 	}
 	mustCreate(t, c, "e", Schema{"v", "w"}, 0, rows)
 	tab, _ := c.Table("e")
-	for seg, part := range tab.Parts {
+	for seg, part := range segmentRows(tab) {
 		for _, row := range part {
 			if want := c.hashDatum(row[0]); want != seg {
 				t.Fatalf("row %v on segment %d, want %d", row, seg, want)

@@ -11,9 +11,9 @@ import (
 )
 
 // relation is an in-flight distributed intermediate result: one columnar
-// chunk per segment. Rows exist only at the storage boundary — Scan
-// converts stored rows into chunks and CreateTableAs/Query convert back —
-// so every operator between the boundaries runs on flat column arrays.
+// chunk per segment, the same layout tables are stored in. Scan hands the
+// stored chunks over as they are and CreateTableAs publishes the result's
+// chunks as the new table, so no statement converts rows between them.
 type relation struct {
 	schema  Schema
 	parts   []*Chunk
@@ -21,13 +21,7 @@ type relation struct {
 }
 
 // rows returns the total row count across segments.
-func (r *relation) rows() int64 {
-	var n int64
-	for _, ch := range r.parts {
-		n += int64(ch.length)
-	}
-	return n
-}
+func (r *relation) rows() int64 { return countRows(r.parts) }
 
 // CreateTableAs executes the plan, materialises its output as a new table
 // hash-distributed by column distKey (NoDistKey for arbitrary placement),
@@ -69,19 +63,11 @@ func (c *Cluster) CreateTableAsCtx(ctx context.Context, name string, p Plan, dis
 			return 0, err
 		}
 	}
-	parts := make([][]Row, c.segments)
-	err = e.parallel(func(seg int) error {
-		parts[seg] = chunkToRows(rel.parts[seg])
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	// The placement shuffle and row conversion ran after the plan's root
-	// operator finished; fold their fault counters into the root node so
-	// the trace accounts for every retry of the statement.
+	// The placement shuffle ran after the plan's root operator finished;
+	// fold its fault counters into the root node so the trace accounts for
+	// every retry of the statement.
 	e.drainFaultCounters(root)
-	t := &Table{Name: name, Schema: rel.schema, DistKey: distKey, Parts: parts}
+	t := &Table{Name: name, Schema: rel.schema, DistKey: distKey, parts: rel.parts}
 	c.mu.Lock()
 	if _, exists := c.tables[name]; exists {
 		c.mu.Unlock()
@@ -90,20 +76,22 @@ func (c *Cluster) CreateTableAsCtx(ctx context.Context, name string, p Plan, dis
 	c.tables[name] = t
 	c.mu.Unlock()
 	c.plans.invalidate(name)
-	c.accountWrite("create "+name, t.Rows(), t.Bytes())
+	rows = rel.rows()
+	bytes := rows * int64(len(rel.schema)) * DatumSize
+	c.accountWrite("create "+name, rows, bytes)
 	c.chargeProfileOverhead()
 	c.addTrace(TraceRecord{
 		Kind:    "create",
 		Target:  name,
 		Plan:    p.String(),
-		Rows:    t.Rows(),
-		Bytes:   t.Bytes(),
+		Rows:    rows,
+		Bytes:   bytes,
 		Shuffle: root.TotalShuffle() + placeShuffle,
 		Start:   start,
 		Elapsed: time.Since(start),
 		Root:    root,
 	})
-	return t.Rows(), nil
+	return rows, nil
 }
 
 // Query executes the plan and gathers all result rows onto the coordinator,
@@ -142,10 +130,7 @@ func (c *Cluster) QueryAnalyzeCtx(ctx context.Context, p Plan) (_ Schema, _ []Ro
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var out []Row
-	for _, part := range rel.parts {
-		out = append(out, chunkToRows(part)...)
-	}
+	out := chunkToRows(rel.parts...)
 	c.statsMu.Lock()
 	c.stats.Queries++
 	c.statsMu.Unlock()
@@ -238,16 +223,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("engine: table %q does not exist", p.Table)
 		}
-		stored := t.snapshotParts()
-		parts := make([]*Chunk, c.segments)
-		err := e.parallel(func(seg int) error {
-			parts[seg] = rowsToChunk(stored[seg], len(t.Schema))
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		rel := &relation{schema: t.Schema, parts: parts, distKey: t.DistKey}
+		rel := &relation{schema: t.Schema, parts: t.snapshot(), distKey: t.DistKey}
 		return rel, e.finishOp("Scan", p.Table, rel, nil, 0, nil, start), nil
 
 	case ValuesPlan:

@@ -3,6 +3,7 @@ package sql
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"dbcc/internal/engine"
 	"dbcc/internal/gf"
@@ -391,5 +392,37 @@ func TestUDFNotRegistered(t *testing.T) {
 	loadEdges(t, s, "a", [][2]int64{{1, 2}})
 	if _, _, err := s.Query("select nosuchfn(v1) from a"); err == nil {
 		t.Fatal("unknown function accepted")
+	}
+}
+
+// TestDeletePanickingPredicateReleasesTable runs a DELETE whose WHERE
+// clause calls a panicking UDF. The statement must fail with an error,
+// leave every row in place, and leave the table readable: a scan issued
+// afterwards has to finish within a deadline instead of blocking on a lock
+// the failed DELETE still holds.
+func TestDeletePanickingPredicateReleasesTable(t *testing.T) {
+	s := newSession(t)
+	s.Cluster().RegisterUDF("boom", func([]engine.Datum) engine.Datum { panic("boom") })
+	loadEdges(t, s, "t", [][2]int64{{1, 2}, {3, 4}, {5, 6}})
+	if _, err := s.Exec("DELETE FROM t WHERE boom(v1) = 1"); err == nil {
+		t.Fatal("DELETE with a panicking predicate succeeded")
+	}
+	done := make(chan error, 1)
+	var rows []engine.Row
+	go func() {
+		var err error
+		_, rows, err = s.Cluster().Query(engine.Scan("t"))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("scan after failed DELETE: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("scan after a panicking DELETE predicate did not return: table left locked")
+	}
+	if len(rows) != 3 {
+		t.Fatalf("failed DELETE changed the table: %d rows, want 3", len(rows))
 	}
 }
