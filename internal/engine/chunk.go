@@ -7,9 +7,10 @@ package engine
 // store one chunk per segment, scans hand those chunks to the operators,
 // the hot operators (join, group-by, distinct, shuffle, sort) run as
 // kernels directly over chunks, CreateTableAs stores the chunks its plan
-// produced, and spill frames encode chunks. Rows exist only at the public
-// API edges — InsertRows input, DeleteRows predicates, ReadAll and Query
-// results, ValuesPlan — where the conversions below translate.
+// produced, spill frames encode chunks, and DeleteRows evaluates its
+// predicate over the stored chunks. Rows exist only at the public API
+// edges — InsertRows input, ReadAll and Query results, ValuesPlan — where
+// the conversions below translate.
 
 // nullBitmap marks the NULL rows of one chunk column, one bit per row. A
 // nil bitmap means the column contains no NULLs, so the common all-valid
@@ -139,9 +140,9 @@ func (ch *Chunk) setRow(r int, row Row) {
 }
 
 // chunkToRows materialises chunks of one arity as rows, in order — the
-// Query, ReadAll and DeleteRows edge of the engine. All rows share one
-// flat Datum backing array, so the conversion costs two allocations, not
-// one per row. No rows at all return nil.
+// Query and ReadAll edge of the engine. All rows share one flat Datum
+// backing array, so the conversion costs two allocations, not one per
+// row. No rows at all return nil.
 func chunkToRows(chunks ...*Chunk) []Row {
 	n := int(countRows(chunks))
 	if n == 0 {
@@ -167,20 +168,30 @@ func chunkToRows(chunks ...*Chunk) []Row {
 func gatherChunk(in *Chunk, idx []int32) *Chunk {
 	out := newChunk(len(in.cols), len(idx))
 	for c := range in.cols {
-		src, dst := in.cols[c], out.cols[c]
-		if in.nulls[c] == nil {
-			for i, r := range idx {
-				dst[i] = src[r]
-			}
-			continue
-		}
-		nb := in.nulls[c]
+		out.nulls[c] = gatherCol(out.cols[c], in.cols[c], in.nulls[c], idx)
+	}
+	return out
+}
+
+// gatherCol copies the selected rows of one column, in index order, into
+// dst and returns their null bitmap, nil when none of them is NULL. A
+// source column without NULLs is copied without per-row null tests.
+func gatherCol(dst, src []int64, nb nullBitmap, idx []int32) nullBitmap {
+	if nb == nil {
 		for i, r := range idx {
-			if nb.get(int(r)) {
-				out.ensureNulls(c).set(i)
-			} else {
-				dst[i] = src[r]
+			dst[i] = src[r]
+		}
+		return nil
+	}
+	var out nullBitmap
+	for i, r := range idx {
+		if nb.get(int(r)) {
+			if out == nil {
+				out = newNullBitmap(len(idx))
 			}
+			out.set(i)
+		} else {
+			dst[i] = src[r]
 		}
 	}
 	return out

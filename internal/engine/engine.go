@@ -637,19 +637,22 @@ func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
 	return nil
 }
 
-// DeleteRows removes the rows of a table for which keep returns false,
-// releasing their space, and returns the number of rows removed. Touched
-// segments are replaced with fresh chunks so concurrent scans keep their
-// snapshots. A component index on the table goes stale on any removal and
-// is rebuilt before DeleteRows returns (see compidx.go).
-func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, err error) {
+// DeleteRows removes the rows of a table for which pred is true, releasing
+// their space, and returns the number of rows removed; rows where pred is
+// false or NULL stay, and a nil pred deletes every row. Touched segments
+// are replaced with fresh chunks so concurrent scans keep their snapshots.
+// A component index on the table goes stale on any removal and is rebuilt
+// before DeleteRows returns (see compidx.go).
+func (c *Cluster) DeleteRows(name string, pred Expr) (removed int64, err error) {
 	defer recoverToError("delete", &err)
 	start := time.Now()
 	t, ok := c.Table(name)
 	if !ok {
 		return 0, fmt.Errorf("engine: table %q does not exist", name)
 	}
-	removed = t.deleteWhere(keep)
+	if removed, err = t.deleteWhere(pred); err != nil {
+		return 0, err
+	}
 	bytes := removed * int64(len(t.Schema)) * DatumSize
 	c.statsMu.Lock()
 	c.stats.Queries++
@@ -672,20 +675,27 @@ func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, e
 	return removed, nil
 }
 
-// deleteWhere replaces every segment holding rows keep rejects with a
-// chunk of the rows it accepts. The new chunks are published together
-// after keep has seen every row, so a keep that panics leaves the table
-// unchanged, and the deferred unlock leaves it readable.
-func (t *Table) deleteWhere(keep func(Row) bool) (removed int64) {
+// deleteWhere evaluates pred once per stored chunk and replaces every
+// segment holding matching rows with a chunk of the rows it does not match.
+// The new chunks are published together after pred has run over every
+// segment, so a pred that fails or panics leaves the table unchanged, and
+// the deferred unlock leaves it readable.
+func (t *Table) deleteWhere(pred Expr) (removed int64, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	next := append([]*Chunk(nil), t.parts...)
 	var kept []int32
 	for seg, ch := range t.parts {
 		kept = kept[:0]
-		for r, row := range chunkToRows(ch) {
-			if keep(row) {
-				kept = append(kept, int32(r))
+		if pred != nil {
+			v, err := evalVec(pred, ch, nil)
+			if err != nil {
+				return 0, err
+			}
+			for r := 0; r < ch.length; r++ {
+				if v.null(r) || v.vals[r] == 0 {
+					kept = append(kept, int32(r))
+				}
 			}
 		}
 		if len(kept) < ch.length {
@@ -694,7 +704,7 @@ func (t *Table) deleteWhere(keep func(Row) bool) (removed int64) {
 		}
 	}
 	t.parts = next
-	return removed
+	return removed, nil
 }
 
 // DropTable removes a table from the catalog. Its space is released

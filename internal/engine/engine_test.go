@@ -455,18 +455,28 @@ func TestCreateTableAsDuplicate(t *testing.T) {
 	}
 }
 
+// evalRow evaluates e over a one-row chunk holding row.
+func evalRow(t *testing.T, e Expr, row Row) Datum {
+	t.Helper()
+	v, err := evalVec(e, rowsToChunk([]Row{row}, len(row)), nil)
+	if err != nil {
+		t.Fatalf("eval %s: %v", e, err)
+	}
+	return v.datum(0)
+}
+
 func TestLeastCoalesce(t *testing.T) {
 	row := Row{I(5), NullDatum, I(3)}
-	if got := Least(Col(0), Col(1), Col(2)).Eval(row); got.Null || got.Int != 3 {
+	if got := evalRow(t, Least(Col(0), Col(1), Col(2)), row); got.Null || got.Int != 3 {
 		t.Errorf("least = %v, want 3", got)
 	}
-	if got := Least(Col(1)).Eval(row); !got.Null {
+	if got := evalRow(t, Least(Col(1)), row); !got.Null {
 		t.Errorf("least of all NULL = %v, want NULL", got)
 	}
-	if got := Coalesce(Col(1), Col(0)).Eval(row); got.Null || got.Int != 5 {
+	if got := evalRow(t, Coalesce(Col(1), Col(0)), row); got.Null || got.Int != 5 {
 		t.Errorf("coalesce = %v, want 5", got)
 	}
-	if got := Coalesce(Col(1), Col(1)).Eval(row); !got.Null {
+	if got := evalRow(t, Coalesce(Col(1), Col(1)), row); !got.Null {
 		t.Errorf("coalesce of NULLs = %v, want NULL", got)
 	}
 }
@@ -483,7 +493,7 @@ func TestUDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := expr.Eval(Row{I(21)}); got.Int != 42 {
+	if got := evalRow(t, expr, Row{I(21)}); got.Int != 42 {
 		t.Fatalf("udf = %v", got)
 	}
 	if _, err := c.CallUDF("missing"); err == nil {

@@ -1,18 +1,22 @@
 package engine
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
-// Vectorized expression evaluation over chunks. evalVec computes an
-// expression once per chunk instead of once per row: column references
-// alias the input column (zero copies), arithmetic and comparisons run as
-// tight loops over flat []int64 with word-wise null propagation, and only
-// genuinely row-oriented expressions (UDF calls, unknown Expr
-// implementations) fall back to a scalar loop — with a reused argument
-// buffer, so even the fallback allocates per chunk, not per row.
+// Vectorized expression evaluation over chunks. evalVec is the engine's
+// only expression evaluator: it computes an expression once per chunk (or
+// once per selection of a chunk's rows) instead of once per row. Column
+// references alias the input column (zero copies), arithmetic and
+// comparisons run as tight loops over flat []int64 with word-wise null
+// propagation, and UDF calls loop over the rows with a reused argument
+// buffer, so even they allocate per chunk, not per row.
 //
 // Evaluation is fallible: a malformed plan (an unknown operator smuggled
-// into a BinExpr) surfaces as a returned error that fails its query, never
-// as a process-killing panic.
+// into a BinExpr, an Expr implementation the evaluator does not know)
+// surfaces as a returned ErrUnsupportedExpr that fails its query, never as
+// a process-killing panic.
 
 // colVec is one evaluated expression column: values plus an optional null
 // bitmap (nil = no NULLs), the same layout as a chunk column.
@@ -60,12 +64,31 @@ func orNulls(a, b nullBitmap, n int) nullBitmap {
 	return out
 }
 
-// evalVec evaluates e over every row of ch.
-func evalVec(e Expr, ch *Chunk) (colVec, error) {
+// ErrUnsupportedExpr reports an expression the evaluator cannot compute:
+// an Expr implementation it does not know (such as a prepared-statement
+// placeholder that escaped substitution) or an unknown binary operator.
+var ErrUnsupportedExpr = errors.New("engine: unsupported expression")
+
+// evalVec evaluates e over the rows of ch that sel selects, producing a
+// dense vector: output row i is input row sel[i]. A nil sel selects every
+// row, and column references then alias the input column with zero
+// copies. A non-nil sel, even an empty one, selects exactly its rows in
+// sel order — the fused pipeline (execFused) evaluates outer filters and
+// projections over the surviving rows this way instead of gathering them
+// into an intermediate chunk first.
+func evalVec(e Expr, ch *Chunk, sel []int32) (colVec, error) {
 	n := ch.length
+	if sel != nil {
+		n = len(sel)
+	}
 	switch e := e.(type) {
 	case ColRef:
-		return colVec{vals: ch.cols[e.Idx], nulls: ch.nulls[e.Idx]}, nil
+		src, nb := ch.cols[e.Idx], ch.nulls[e.Idx]
+		if sel == nil {
+			return colVec{vals: src, nulls: nb}, nil
+		}
+		vals := make([]int64, n)
+		return colVec{vals: vals, nulls: gatherCol(vals, src, nb, sel)}, nil
 
 	case ConstExpr:
 		vals := make([]int64, n)
@@ -84,10 +107,18 @@ func evalVec(e Expr, ch *Chunk) (colVec, error) {
 		return colVec{vals: vals}, nil
 
 	case BinExpr:
-		return evalBinVec(e, ch)
+		l, err := evalVec(e.Left, ch, sel)
+		if err != nil {
+			return colVec{}, err
+		}
+		r, err := evalVec(e.Right, ch, sel)
+		if err != nil {
+			return colVec{}, err
+		}
+		return combineBinVec(e.Op, l, r, n)
 
 	case IsNullExpr:
-		arg, err := evalVec(e.Arg, ch)
+		arg, err := evalVec(e.Arg, ch, sel)
 		if err != nil {
 			return colVec{}, err
 		}
@@ -104,7 +135,7 @@ func evalVec(e Expr, ch *Chunk) (colVec, error) {
 		return out, nil
 
 	case CoalesceExpr:
-		args, err := evalArgVecs(e.Args, ch)
+		args, err := evalArgVecs(e.Args, ch, sel)
 		if err != nil {
 			return colVec{}, err
 		}
@@ -125,7 +156,9 @@ func evalVec(e Expr, ch *Chunk) (colVec, error) {
 		return out, nil
 
 	case LeastExpr:
-		args, err := evalArgVecs(e.Args, ch)
+		// NULL arguments are ignored; the result is NULL only if every
+		// argument is NULL (PostgreSQL least semantics).
+		args, err := evalArgVecs(e.Args, ch, sel)
 		if err != nil {
 			return colVec{}, err
 		}
@@ -150,7 +183,7 @@ func evalVec(e Expr, ch *Chunk) (colVec, error) {
 		return out, nil
 
 	case UDFExpr:
-		args, err := evalArgVecs(e.Args, ch)
+		args, err := evalArgVecs(e.Args, ch, sel)
 		if err != nil {
 			return colVec{}, err
 		}
@@ -168,32 +201,15 @@ func evalVec(e Expr, ch *Chunk) (colVec, error) {
 			}
 		}
 		return out, nil
-
-	default:
-		// Unknown Expr implementation: reconstruct each row into a scratch
-		// buffer and evaluate the row-oriented interface.
-		scratch := make(Row, len(ch.cols))
-		out := colVec{vals: make([]int64, n)}
-		for i := 0; i < n; i++ {
-			for c := range scratch {
-				scratch[c] = ch.datum(c, i)
-			}
-			d := e.Eval(scratch)
-			if d.Null {
-				out.setNull(i, n)
-			} else {
-				out.vals[i] = d.Int
-			}
-		}
-		return out, nil
 	}
+	return colVec{}, fmt.Errorf("%w: %T", ErrUnsupportedExpr, e)
 }
 
-// evalArgVecs evaluates an argument list.
-func evalArgVecs(args []Expr, ch *Chunk) ([]colVec, error) {
+// evalArgVecs evaluates an argument list over the same selection.
+func evalArgVecs(args []Expr, ch *Chunk, sel []int32) ([]colVec, error) {
 	out := make([]colVec, len(args))
 	for i, a := range args {
-		v, err := evalVec(a, ch)
+		v, err := evalVec(a, ch, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -202,100 +218,21 @@ func evalArgVecs(args []Expr, ch *Chunk) ([]colVec, error) {
 	return out, nil
 }
 
-// evalVecSel evaluates e over only the selected rows of ch, producing a
-// dense vector of len(sel) values: output row i corresponds to input row
-// sel[i], and evalVecSel(e, ch, sel) row i equals evalVec(e, ch) row
-// sel[i] exactly (values, NULLs and errors). It is the fused pipeline's
-// evaluator (see execFused): outer filters and projections over an
-// already-filtered chunk compute just the surviving rows instead of
-// gathering them into an intermediate chunk first.
-func evalVecSel(e Expr, ch *Chunk, sel []int32) (colVec, error) {
-	n := len(sel)
-	switch e := e.(type) {
-	case ColRef:
-		src, nb := ch.cols[e.Idx], ch.nulls[e.Idx]
-		out := colVec{vals: make([]int64, n)}
-		if nb == nil {
-			for i, r := range sel {
-				out.vals[i] = src[r]
-			}
-			return out, nil
-		}
-		for i, r := range sel {
-			if nb.get(int(r)) {
-				out.setNull(i, n)
-			} else {
-				out.vals[i] = src[r]
-			}
-		}
-		return out, nil
-
-	case ConstExpr:
-		vals := make([]int64, n)
-		if e.Val.Null {
-			nb := newNullBitmap(n)
-			for i := range nb {
-				nb[i] = ^uint64(0)
-			}
-			return colVec{vals: vals, nulls: nb}, nil
-		}
-		if e.Val.Int != 0 {
-			for i := range vals {
-				vals[i] = e.Val.Int
-			}
-		}
-		return colVec{vals: vals}, nil
-
-	case BinExpr:
-		l, err := evalVecSel(e.Left, ch, sel)
-		if err != nil {
-			return colVec{}, err
-		}
-		r, err := evalVecSel(e.Right, ch, sel)
-		if err != nil {
-			return colVec{}, err
-		}
-		return combineBinVec(e.Op, l, r, n)
-
-	default:
-		// Row-oriented fallback (UDF calls, IS NULL, COALESCE, unknown Expr
-		// implementations): reconstruct each selected row and evaluate the
-		// row interface. Rare in hot filter chains; the semantics match the
-		// scalar evaluator by construction.
-		scratch := make(Row, len(ch.cols))
-		out := colVec{vals: make([]int64, n)}
-		for i, r := range sel {
-			for c := range scratch {
-				scratch[c] = ch.datum(c, int(r))
-			}
-			d := e.Eval(scratch)
-			if d.Null {
-				out.setNull(i, n)
-			} else {
-				out.vals[i] = d.Int
-			}
-		}
-		return out, nil
-	}
-}
-
-// evalBinVec evaluates a binary operator column-at-a-time. Comparisons and
-// arithmetic propagate NULL by bitmap union; AND/OR run a scalar loop for
-// SQL's three-valued logic, mirroring BinExpr.Eval exactly.
-func evalBinVec(e BinExpr, ch *Chunk) (colVec, error) {
-	l, err := evalVec(e.Left, ch)
+// EvalConst evaluates an expression that references no column — a VALUES
+// item or a FROM-less SELECT item — over a one-row, zero-column chunk. A
+// panicking UDF fails the evaluation with an error.
+func EvalConst(e Expr) (d Datum, err error) {
+	defer recoverToError("constant evaluation", &err)
+	v, err := evalVec(e, &Chunk{length: 1}, nil)
 	if err != nil {
-		return colVec{}, err
+		return NullDatum, err
 	}
-	r, err := evalVec(e.Right, ch)
-	if err != nil {
-		return colVec{}, err
-	}
-	return combineBinVec(e.Op, l, r, ch.length)
+	return v.datum(0), nil
 }
 
 // combineBinVec combines two evaluated operand vectors of length n under a
-// binary operator — the shared back half of evalBinVec and evalVecSel.
+// binary operator. Comparisons and arithmetic propagate NULL by bitmap
+// union; AND/OR run a scalar loop for SQL's three-valued logic.
 func combineBinVec(op BinOp, l, r colVec, n int) (colVec, error) {
 	out := colVec{vals: make([]int64, n)}
 
@@ -374,7 +311,7 @@ func combineBinVec(op BinOp, l, r colVec, n int) (colVec, error) {
 			}
 		}
 	default:
-		return colVec{}, fmt.Errorf("engine: unknown binary operator %d in vectorized eval", op)
+		return colVec{}, fmt.Errorf("%w: binary operator %d", ErrUnsupportedExpr, op)
 	}
 	return out, nil
 }

@@ -245,7 +245,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		out := make([]*Chunk, c.segments)
 		segTimes, err := e.parallelTimed(func(seg int) error {
 			ch := in.parts[seg]
-			pred, err := evalVec(p.Pred, ch)
+			pred, err := evalVec(p.Pred, ch, nil)
 			if err != nil {
 				return err
 			}
@@ -297,7 +297,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 			ch := in.parts[seg]
 			vecs := make([]colVec, len(p.Cols))
 			for i, col := range p.Cols {
-				v, err := evalVec(col.Expr, ch)
+				v, err := evalVec(col.Expr, ch, nil)
 				if err != nil {
 					return err
 				}
@@ -381,14 +381,15 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 // execFused executes a Project(Filter…(X)) or Filter(Filter…(X)) chain as
 // one fused pipeline: the innermost predicate evaluates over the child's
 // full chunk, every outer predicate evaluates only over the rows still
-// selected (evalVecSel), and the projection (when present) computes its
-// expressions directly over the final selection into dense output vectors.
-// No intermediate filtered chunk is ever materialised — the per-operator
-// gather of the unfused path disappears — yet the produced chunks are
-// bit-identical to the unfused execution, and the metrics tree still
-// carries one faithful node per logical operator (EXPLAIN ANALYZE output
-// keeps its shape; TestQueryAnalyzeMetrics' per-node invariants hold).
-// proj is nil when the chain has no projection on top.
+// selected (evalVec with a selection), and the projection (when present)
+// computes its expressions directly over the final selection into dense
+// output vectors. No intermediate filtered chunk is ever materialised —
+// the per-operator gather of the unfused path disappears — yet the
+// produced chunks are bit-identical to the unfused execution, and the
+// metrics tree still carries one faithful node per logical operator
+// (EXPLAIN ANALYZE output keeps its shape; TestQueryAnalyzeMetrics'
+// per-node invariants hold). proj is nil when the chain has no projection
+// on top.
 func (e *execEnv) execFused(proj *ProjectPlan, top FilterPlan, start time.Time) (*relation, *OpMetrics, error) {
 	c := e.c
 	// Collect the filter chain, outermost first.
@@ -434,9 +435,11 @@ func (e *execEnv) execFused(proj *ProjectPlan, top FilterPlan, start time.Time) 
 	segTimes, err := e.parallelTimed(func(seg int) error {
 		ch := in.parts[seg]
 		kp := getI32(ch.length)
+		// getI32's slice is never nil, so an empty selection selects no
+		// rows, not every row.
 		sel := (*kp)[:0]
 		last := len(filters) - 1
-		pv, perr := evalVec(filters[last].Pred, ch)
+		pv, perr := evalVec(filters[last].Pred, ch, nil)
 		if perr != nil {
 			return perr
 		}
@@ -447,7 +450,7 @@ func (e *execEnv) execFused(proj *ProjectPlan, top FilterPlan, start time.Time) 
 		}
 		counts[last][seg] = int64(len(sel))
 		for fi := last - 1; fi >= 0; fi-- {
-			sv, serr := evalVecSel(filters[fi].Pred, ch, sel)
+			sv, serr := evalVec(filters[fi].Pred, ch, sel)
 			if serr != nil {
 				return serr
 			}
@@ -465,7 +468,7 @@ func (e *execEnv) execFused(proj *ProjectPlan, top FilterPlan, start time.Time) 
 		} else {
 			vecs := make([]colVec, len(proj.Cols))
 			for i, col := range proj.Cols {
-				v, verr := evalVecSel(col.Expr, ch, sel)
+				v, verr := evalVec(col.Expr, ch, sel)
 				if verr != nil {
 					return verr
 				}

@@ -2,10 +2,10 @@ package engine
 
 import "fmt"
 
-// Expr is a scalar expression evaluated against one input row.
+// Expr is a scalar expression tree over the columns of its input. The
+// engine evaluates it column-at-a-time over chunks (see evalVec in
+// eval.go); the node types below are the ones the evaluator knows.
 type Expr interface {
-	// Eval computes the expression over the row.
-	Eval(row Row) Datum
 	// String renders the expression for plan explanations.
 	String() string
 }
@@ -15,9 +15,6 @@ type ColRef struct {
 	Idx  int
 	Name string // for display only
 }
-
-// Eval implements Expr.
-func (e ColRef) Eval(row Row) Datum { return row[e.Idx] }
 
 func (e ColRef) String() string {
 	if e.Name != "" {
@@ -34,9 +31,6 @@ func NamedCol(idx int, name string) Expr { return ColRef{Idx: idx, Name: name} }
 
 // ConstExpr is a literal value.
 type ConstExpr struct{ Val Datum }
-
-// Eval implements Expr.
-func (e ConstExpr) Eval(Row) Datum { return e.Val }
 
 func (e ConstExpr) String() string {
 	if e.Val.Null {
@@ -74,66 +68,13 @@ var binOpNames = map[BinOp]string{
 	OpAdd: "+", OpSub: "-", OpAnd: "AND", OpOr: "OR",
 }
 
-// BinExpr applies a built-in binary operator.
+// BinExpr applies a built-in binary operator with SQL NULL propagation:
+// any NULL operand makes a comparison or arithmetic result NULL, except
+// AND/OR, which follow three-valued logic (false AND NULL is false, true
+// OR NULL is true).
 type BinExpr struct {
 	Op          BinOp
 	Left, Right Expr
-}
-
-// Eval implements Expr with SQL NULL propagation: any NULL operand makes a
-// comparison or arithmetic result NULL, except AND/OR which follow
-// three-valued logic far enough for the dialect's needs.
-func (e BinExpr) Eval(row Row) Datum {
-	l := e.Left.Eval(row)
-	r := e.Right.Eval(row)
-	switch e.Op {
-	case OpAnd:
-		if !l.Null && l.Int == 0 || !r.Null && r.Int == 0 {
-			return I(0)
-		}
-		if l.Null || r.Null {
-			return NullDatum
-		}
-		return I(1)
-	case OpOr:
-		if !l.Null && l.Int != 0 || !r.Null && r.Int != 0 {
-			return I(1)
-		}
-		if l.Null || r.Null {
-			return NullDatum
-		}
-		return I(0)
-	}
-	if l.Null || r.Null {
-		return NullDatum
-	}
-	b := func(ok bool) Datum {
-		if ok {
-			return I(1)
-		}
-		return I(0)
-	}
-	switch e.Op {
-	case OpEq:
-		return b(l.Int == r.Int)
-	case OpNe:
-		return b(l.Int != r.Int)
-	case OpLt:
-		return b(l.Int < r.Int)
-	case OpLe:
-		return b(l.Int <= r.Int)
-	case OpGt:
-		return b(l.Int > r.Int)
-	case OpGe:
-		return b(l.Int >= r.Int)
-	case OpAdd:
-		return I(l.Int + r.Int)
-	case OpSub:
-		return I(l.Int - r.Int)
-	}
-	// Eval cannot return an error; evalPanic is recovered at the task
-	// runner / statement boundary and fails only this query.
-	panic(evalPanic{fmt.Errorf("engine: unknown binary operator %d", e.Op)})
 }
 
 func (e BinExpr) String() string {
@@ -148,22 +89,6 @@ func Bin(op BinOp, l, r Expr) Expr { return BinExpr{Op: op, Left: l, Right: r} }
 // ("least(axb(A,v,B), min(axb(A,w,B)))").
 type LeastExpr struct{ Args []Expr }
 
-// Eval implements Expr. NULL arguments are ignored; the result is NULL only
-// if every argument is NULL (PostgreSQL least semantics).
-func (e LeastExpr) Eval(row Row) Datum {
-	out := NullDatum
-	for _, a := range e.Args {
-		v := a.Eval(row)
-		if v.Null {
-			continue
-		}
-		if out.Null || v.Int < out.Int {
-			out = v
-		}
-	}
-	return out
-}
-
 func (e LeastExpr) String() string { return fnString("least", e.Args) }
 
 // Least builds a least(...) expression.
@@ -171,16 +96,6 @@ func Least(args ...Expr) Expr { return LeastExpr{Args: args} }
 
 // CoalesceExpr is SQL coalesce(...): the first non-NULL argument.
 type CoalesceExpr struct{ Args []Expr }
-
-// Eval implements Expr.
-func (e CoalesceExpr) Eval(row Row) Datum {
-	for _, a := range e.Args {
-		if v := a.Eval(row); !v.Null {
-			return v
-		}
-	}
-	return NullDatum
-}
 
 func (e CoalesceExpr) String() string { return fnString("coalesce", e.Args) }
 
@@ -191,18 +106,6 @@ func Coalesce(args ...Expr) Expr { return CoalesceExpr{Args: args} }
 type IsNullExpr struct {
 	Arg    Expr
 	Negate bool
-}
-
-// Eval implements Expr.
-func (e IsNullExpr) Eval(row Row) Datum {
-	isNull := e.Arg.Eval(row).Null
-	if e.Negate {
-		isNull = !isNull
-	}
-	if isNull {
-		return I(1)
-	}
-	return I(0)
 }
 
 func (e IsNullExpr) String() string {
@@ -224,15 +127,6 @@ type UDFExpr struct {
 	Name string
 	Fn   UDF
 	Args []Expr
-}
-
-// Eval implements Expr.
-func (e UDFExpr) Eval(row Row) Datum {
-	args := make([]Datum, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.Eval(row)
-	}
-	return e.Fn(args)
 }
 
 func (e UDFExpr) String() string { return fnString(e.Name, e.Args) }
@@ -259,7 +153,3 @@ func fnString(name string, args []Expr) string {
 	}
 	return s + ")"
 }
-
-// truthy reports whether a predicate result keeps the row (SQL WHERE:
-// NULL and false both filter out).
-func truthy(d Datum) bool { return !d.Null && d.Int != 0 }

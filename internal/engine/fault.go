@@ -123,25 +123,14 @@ func (f *FaultInjector) decideSpillIO(stmt uint64, op int64, seg, attempt int, n
 	return false
 }
 
-// evalPanic carries an expression-evaluation failure through interfaces
-// that cannot return errors (Expr.Eval); the task runner's and statement
-// boundary's recover guards convert it back into its plain error.
-type evalPanic struct{ err error }
-
 // recoverToError converts a panic escaping a statement into a returned
 // error, so a malformed plan or broken UDF fails one query instead of the
 // whole process. Segment-task panics are already converted by the task
 // runner; this boundary guard catches coordinator-side evaluation.
 func recoverToError(label string, err *error) {
-	r := recover()
-	if r == nil {
-		return
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("engine: panic during %s: %v\n%s", label, r, debug.Stack())
 	}
-	if ep, ok := r.(evalPanic); ok {
-		*err = ep.err
-		return
-	}
-	*err = fmt.Errorf("engine: panic during %s: %v\n%s", label, r, debug.Stack())
 }
 
 // execEnv is the per-statement execution environment: the context the
@@ -398,15 +387,9 @@ func (e *execEnv) runTaskAttempts(ctx context.Context, opID int64, seg int, fn f
 // success), then fn, with panics converted to errors.
 func (e *execEnv) attemptTask(ctx context.Context, opID int64, seg, attempt int, fn func(seg int) error) (err error) {
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: segment %d task panicked: %v\n%s", seg, r, debug.Stack())
 		}
-		if ep, ok := r.(evalPanic); ok {
-			err = ep.err
-			return
-		}
-		err = fmt.Errorf("engine: segment %d task panicked: %v\n%s", seg, r, debug.Stack())
 	}()
 	e.curAttempt[seg].Store(int32(attempt))
 	if fi := e.c.injector; fi != nil {

@@ -232,7 +232,7 @@ func buildPartialChunk(in *Chunk, keys []int, aggs []Agg) (*Chunk, error) {
 			}
 			vecs[len(keys)+i] = colVec{vals: ones}
 		case a.Op == AggCount:
-			arg, err := evalVec(a.Arg, in)
+			arg, err := evalVec(a.Arg, in, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -244,7 +244,7 @@ func buildPartialChunk(in *Chunk, keys []int, aggs []Agg) (*Chunk, error) {
 			}
 			vecs[len(keys)+i] = colVec{vals: counts}
 		default:
-			arg, err := evalVec(a.Arg, in)
+			arg, err := evalVec(a.Arg, in, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -24,8 +24,9 @@ var i32Scratch = sync.Pool{
 	},
 }
 
-// getI32 returns a pooled scratch box whose slice is zero-length with
-// capacity >= n. Pass the same pointer back to putI32 when done.
+// getI32 returns a pooled scratch box whose slice is non-nil and
+// zero-length with capacity >= n. Pass the same pointer back to putI32
+// when done.
 func getI32(n int) *[]int32 {
 	p := i32Scratch.Get().(*[]int32)
 	if cap(*p) < n {

@@ -59,8 +59,9 @@ func FuzzParse(f *testing.F) {
 // (malformed parameter numbering is a plain error), Bind must reject
 // count and kind mismatches as typed *BindError, and executing a
 // well-bound handle must fail, if it fails, through an error — never a
-// panic, and in particular never an unsubstituted paramExpr reaching the
-// engine. Use `go test -fuzz=FuzzPrepare ./internal/sql` to explore.
+// panic, and never an unsubstituted paramExpr reaching the engine (which
+// the evaluator reports as engine.ErrUnsupportedExpr). Use
+// `go test -fuzz=FuzzPrepare ./internal/sql` to explore.
 func FuzzPrepare(f *testing.F) {
 	seeds := []string{
 		"select count(*) as n from $1 as g",
@@ -100,8 +101,9 @@ func FuzzPrepare(f *testing.F) {
 			}
 		}
 		// Bind each parameter by its declared kind and execute. Execution
-		// errors (missing tables, schema mismatches) are fine; panics and
-		// kind-mismatch BindErrors on a well-formed binding are not.
+		// errors (missing tables, schema mismatches) are fine; panics,
+		// kind-mismatch BindErrors on a well-formed binding and parameters
+		// that escaped substitution are not.
 		args := make([]Arg, p.NumParams())
 		for i := range args {
 			if p.ParamIsTable(i + 1) {
@@ -114,6 +116,9 @@ func FuzzPrepare(f *testing.F) {
 			var be *BindError
 			if errors.As(err, &be) {
 				t.Fatalf("well-kinded binding rejected: %v", err)
+			}
+			if errors.Is(err, engine.ErrUnsupportedExpr) {
+				t.Fatalf("unsubstituted parameter reached the engine: %v", err)
 			}
 		}
 	})

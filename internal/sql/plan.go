@@ -193,7 +193,9 @@ func planConstSelect(c *engine.Cluster, sel *SelectStmt) (engine.Plan, engine.Sc
 		if err != nil {
 			return nil, nil, err
 		}
-		row[i] = e.Eval(nil)
+		if row[i], err = engine.EvalConst(e); err != nil {
+			return nil, nil, err
+		}
 		names[i] = itemName(item, i)
 	}
 	return engine.Values(names, []engine.Row{row}), names, nil

@@ -94,12 +94,9 @@ func (e *BindError) Error() string { return "sql: bind: " + e.Msg }
 
 // paramExpr is a $N placeholder inside a plan template. It never executes:
 // instantiation replaces it with a ConstExpr before the engine sees the
-// plan, so Eval firing means a template escaped substitution.
+// plan. The engine's evaluator does not know the type, so a template that
+// escaped substitution fails with engine.ErrUnsupportedExpr.
 type paramExpr struct{ Index int }
-
-func (e paramExpr) Eval(engine.Row) engine.Datum {
-	panic(fmt.Sprintf("sql: unsubstituted parameter $%d reached execution", e.Index))
-}
 
 func (e paramExpr) String() string { return fmt.Sprintf("$%d", e.Index) }
 

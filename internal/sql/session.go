@@ -302,7 +302,9 @@ func (s *Session) ExecStmt(st Statement) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				row[j] = ce.Eval(nil)
+				if row[j], err = engine.EvalConst(ce); err != nil {
+					return 0, err
+				}
 			}
 			rows[i] = row
 		}
@@ -340,22 +342,18 @@ func (s *Session) ExecStmt(st Statement) (int64, error) {
 		if !ok {
 			return 0, fmt.Errorf("sql: table %q does not exist", st.Name)
 		}
-		keep := func(engine.Row) bool { return false } // no WHERE: delete all
+		var pred engine.Expr // no WHERE: delete all
 		if st.Where != nil {
 			sc := make(scope, len(t.Schema))
 			for i, col := range t.Schema {
 				sc[i] = scopeCol{qual: st.Name, name: col}
 			}
-			pred, err := compileScalar(s.c, st.Where, sc)
-			if err != nil {
+			var err error
+			if pred, err = compileScalar(s.c, st.Where, sc); err != nil {
 				return 0, err
 			}
-			keep = func(r engine.Row) bool {
-				d := pred.Eval(r)
-				return d.Null || d.Int == 0 // keep rows the filter does not match
-			}
 		}
-		return s.c.DeleteRows(phys, keep)
+		return s.c.DeleteRows(phys, pred)
 
 	case *CreateComponentIndex:
 		return 0, s.c.CreateComponentIndex(s.Resolve(st.Table))

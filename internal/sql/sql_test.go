@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -424,5 +425,64 @@ func TestDeletePanickingPredicateReleasesTable(t *testing.T) {
 	}
 	if len(rows) != 3 {
 		t.Fatalf("failed DELETE changed the table: %d rows, want 3", len(rows))
+	}
+}
+
+// TestDeleteSemantics checks DELETE's WHERE handling on a four-segment
+// table: a NULL comparison matches nothing, coalesce matches NULL rows,
+// compound predicates follow three-valued logic and remove exactly the
+// matching rows, and DELETE with no WHERE empties the table.
+func TestDeleteSemantics(t *testing.T) {
+	s := newSession(t)
+	// v1 = 1..12; v2 is NULL for v1 in {3, 6, 9, 12}, 0 for v1 = 4 and
+	// v1*10 otherwise.
+	if _, err := s.Exec(`CREATE TABLE d (v1, v2);
+		INSERT INTO d VALUES (1, 10), (2, 20), (3, NULL), (4, 0), (5, 50), (6, NULL),
+			(7, 70), (8, 80), (9, NULL), (10, 100), (11, 110), (12, NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		stmt    string
+		removed int64
+		left    []int64 // remaining v1 values, ascending
+	}{
+		{"DELETE FROM d WHERE v2 = NULL", 0, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
+		// v1 = 3: NULL AND true OR true is true; v1 = 9: NULL AND true OR
+		// false is NULL, so it stays.
+		{"DELETE FROM d WHERE v2 > 60 AND v1 < 10 OR v1 = 3", 3, []int64{1, 2, 4, 5, 6, 9, 10, 11, 12}},
+		{"DELETE FROM d WHERE coalesce(v2, 0) = 0", 4, []int64{1, 2, 5, 10, 11}},
+		{"DELETE FROM d", 5, nil},
+	}
+	for _, st := range steps {
+		removed, err := s.Exec(st.stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", st.stmt, err)
+		}
+		if removed != st.removed {
+			t.Errorf("%s removed %d rows, want %d", st.stmt, removed, st.removed)
+		}
+		_, rows, err := s.Query("SELECT count(*) AS n FROM d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A global aggregate over an empty table yields no row here.
+		var n int64
+		if len(rows) > 0 {
+			n = rows[0][0].Int
+		}
+		if n != int64(len(st.left)) {
+			t.Errorf("after %s: count(*) = %d, want %d", st.stmt, n, len(st.left))
+		}
+		_, rows, err = s.Query("SELECT v1 FROM d ORDER BY v1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		for _, r := range rows {
+			got = append(got, r[0].Int)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(st.left) {
+			t.Errorf("after %s: v1 = %v, want %v", st.stmt, got, st.left)
+		}
 	}
 }
