@@ -299,6 +299,22 @@ func (b *chunkBuilder) appendCol(c int, v int64, null bool) {
 	}
 }
 
+// appendRows appends rows lo .. hi-1 of src (same arity), one copy per
+// column.
+func (b *chunkBuilder) appendRows(src *Chunk, lo, hi int) {
+	for c := range b.cols {
+		b.cols[c] = append(b.cols[c], src.cols[c][lo:hi]...)
+		if nb := src.nulls[c]; nb != nil {
+			for r := lo; r < hi; r++ {
+				if nb.get(r) {
+					b.setNull(c, b.n+r-lo)
+				}
+			}
+		}
+	}
+	b.n += hi - lo
+}
+
 // appendJoinRow emits the concatenation of left row li and right row ri.
 func (b *chunkBuilder) appendJoinRow(left *Chunk, li int, right *Chunk, ri int) {
 	lw := len(left.cols)

@@ -104,42 +104,51 @@ func radixPartitionChunk(ch *Chunk, dests []int32, nparts int) ([]*Chunk, *[]int
 
 // joinChunks joins one segment's co-located chunks: a hash table is built
 // over the right (build) side keyed on the raw int64 join key, then the
-// left (probe) side streams through it. NULL keys never match; for a left
-// outer join, unmatched probe rows are emitted padded with NULLs. Build
-// rows are inserted in reverse so each chain iterates in ascending build
-// order — the exact match order the row engine produced.
+// left (probe) side streams through it.
 func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind) *Chunk {
-	lw, rw := len(left.cols), len(right.cols)
-	out := newChunkBuilder(lw+rw, 0)
+	out := newChunkBuilder(len(left.cols)+len(right.cols), 0)
+	probeJoinTable(out, left, leftKey, right, buildJoinTable(right, rightKey), kind)
+	return out.finish()
+}
 
-	jt := newJoinTable(right.length)
-	rkeys := right.cols[rightKey]
-	rnulls := right.nulls[rightKey]
-	for i := right.length - 1; i >= 0; i-- {
-		if rnulls.get(i) {
-			continue
+// buildJoinTable indexes the build chunk on column key. NULL keys never
+// match and are left out. Rows are inserted in reverse so each chain
+// iterates in ascending build order — the exact match order the row
+// engine produced.
+func buildJoinTable(build *Chunk, key int) *joinTable {
+	jt := newJoinTable(build.length)
+	keys, nulls := build.cols[key], build.nulls[key]
+	for i := build.length - 1; i >= 0; i-- {
+		if !nulls.get(i) {
+			jt.insert(keys[i], int32(i))
 		}
-		jt.insert(rkeys[i], int32(i))
 	}
+	return jt
+}
 
-	lkeys := left.cols[leftKey]
-	lnulls := left.nulls[leftKey]
-	for i := 0; i < left.length; i++ {
+// probeJoinTable streams the probe chunk through jt, the table over
+// build, appending each probe row's matches (probe columns then build
+// columns) to out in ascending build order. NULL keys never match; for a
+// left outer join, an unmatched probe row is emitted padded with NULLs.
+// The in-memory join and every spilling join variant share this loop.
+func probeJoinTable(out *chunkBuilder, probe *Chunk, key int, build *Chunk, jt *joinTable, kind JoinKind) {
+	rw := len(build.cols)
+	keys, nulls := probe.cols[key], probe.nulls[key]
+	for i := 0; i < probe.length; i++ {
 		m := int32(-1)
-		if !lnulls.get(i) {
-			m = jt.lookup(lkeys[i])
+		if !nulls.get(i) {
+			m = jt.lookup(keys[i])
 		}
 		if m < 0 {
 			if kind == LeftOuterJoin {
-				out.appendOuterRow(left, i, rw)
+				out.appendOuterRow(probe, i, rw)
 			}
 			continue
 		}
 		for ; m >= 0; m = jt.next[m] {
-			out.appendJoinRow(left, i, right, int(m))
+			out.appendJoinRow(probe, i, build, int(m))
 		}
 	}
-	return out.finish()
 }
 
 // groupChunk folds a partial-layout chunk (nk key columns followed by one

@@ -378,6 +378,60 @@ func BenchmarkKernelRCRound(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSpillJoin measures one segment task's grace hash join,
+// left outer, with the budget at half the in-memory working set: that
+// forces exactly one partitioning pass (fan-out 4), after which every
+// partition joins in memory. It covers the partition scatter, the
+// per-partition probes and the restore of the in-memory row order.
+func BenchmarkKernelSpillJoin(b *testing.B) {
+	const n = 1 << 16
+	left, right := rowsToChunk(benchRows(n), 2), rowsToChunk(benchRows(n/4), 2)
+	est := chunkFootprint(right) + joinTableBytes(right.length)
+	c := NewCluster(Options{Segments: 1, MemoryBudget: est / 2})
+	defer c.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := c.newExecEnv(context.Background())
+		out, err := e.joinSegment(0, left, right, 0, 0, LeftOuterJoin)
+		passes := e.acct.spillPasses.Load()
+		e.close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if passes != 2 { // one partition set per side
+			b.Fatalf("%d partitioning passes, want 2", passes)
+		}
+		sinkChunk = out
+	}
+}
+
+// BenchmarkKernelSpillFold is the group-by counterpart: min(x) by k over
+// a partial-layout chunk, budget at half the in-memory working set, one
+// partitioning pass, then a streaming fold per partition and the restore
+// of first-seen group order.
+func BenchmarkKernelSpillFold(b *testing.B) {
+	const n = 1 << 16
+	in := rowsToChunk(benchRows(n), 2)
+	aggs := []Agg{{Op: AggMin, Arg: Col(1), Name: "mn"}}
+	est := chunkFootprint(in) + groupTableBytes(in.length)
+	c := NewCluster(Options{Segments: 1, MemoryBudget: est / 2})
+	defer c.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := c.newExecEnv(context.Background())
+		out, err := e.foldSegment(0, in, 1, aggs, false)
+		passes := e.acct.spillPasses.Load()
+		e.close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if passes != 1 {
+			b.Fatalf("%d partitioning passes, want 1", passes)
+		}
+		sinkChunk = out
+	}
+}
+
 func mustCreateBench(b *testing.B, c *Cluster, name string, schema Schema, distKey int, rows []Row) {
 	b.Helper()
 	if _, err := c.CreateTable(name, schema, distKey); err != nil {

@@ -8,6 +8,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"dbcc/internal/xrand"
 )
 
 // Disk spilling: the file substrate of the memory-bounded kernels.
@@ -260,26 +262,36 @@ func spillSalt(depth int) uint64 {
 // the budget, the same escape hatch real executors use.
 const maxSpillDepth = 6
 
-// spillPartWriter buffers rows for one partition file and writes framed
-// chunks through the fault-injection hook.
+// spillPartWriter is one partition file of a partitionSet plus its frame
+// buffer. frame holds the buffered rows (frame.length of them); its
+// columns are this partition's bufRows-row windows of the set's shared
+// value buffer, and frame.nulls[c] is non-nil exactly while the buffered
+// rows hold a NULL in column c — the encoded frame then carries a bitmap,
+// as a freshly built chunk would.
 type spillPartWriter struct {
 	f     *os.File
 	path  string
-	b     *chunkBuilder
+	frame Chunk
 	rows  int64 // rows written to the file (excluding the open buffer)
 	bytes int64 // bytes written to the file
 }
 
 // partitionSet fans one segment task's rows out into fanout partition
-// files. Buffer sizes adapt to the share so the set's in-memory footprint
-// stays within it; the footprint is charged to the statement ledger for
-// the set's lifetime.
+// files. Each partition buffers up to bufRows rows before writing them as
+// one frame. The buffers are preallocated as one value array of
+// fanout × ncols × bufRows int64s, reused across flushes, and exactly that
+// array is charged to the statement ledger for the set's lifetime; bufRows
+// adapts to the share so the charge stays within half of it.
 type partitionSet struct {
 	e       *execEnv
 	seg     int
 	parts   []*spillPartWriter
 	ncols   int
 	bufRows int
+	vals    []int64 // column c of partition p: vals[c*stride+p*bufRows:][:bufRows]
+	stride  int     // fanout × bufRows
+	pids    []int32 // per-block scratch: partition of each row, -1 = dropped
+	slots   []int32 // per-block scratch: p*bufRows + buffer row, -1 = dropped
 	scratch []byte
 	ioSeq   *int64
 	charged int64
@@ -304,16 +316,25 @@ func spillBufRows(share int64, fanout, ncols int) int {
 	return int(rows)
 }
 
+// scatterBlock is the number of input rows a partitionSet assigns to
+// partitions at a time.
+const scatterBlock = 1024
+
 // newPartitionSet creates fanout partition files under dir named
 // "<base>_p<i>". Files are created with O_TRUNC semantics (os.Create), so
 // a retried task attempt deterministically overwrites its own partials.
 func (e *execEnv) newPartitionSet(seg int, dir, base string, fanout, ncols int, ioSeq *int64) (*partitionSet, error) {
+	bufRows := spillBufRows(e.segShare(), fanout, ncols)
 	ps := &partitionSet{
 		e:       e,
 		seg:     seg,
 		parts:   make([]*spillPartWriter, fanout),
 		ncols:   ncols,
-		bufRows: spillBufRows(e.segShare(), fanout, ncols),
+		bufRows: bufRows,
+		vals:    make([]int64, fanout*ncols*bufRows),
+		stride:  fanout * bufRows,
+		pids:    make([]int32, scatterBlock),
+		slots:   make([]int32, scatterBlock),
 		ioSeq:   ioSeq,
 	}
 	for i := range ps.parts {
@@ -323,40 +344,189 @@ func (e *execEnv) newPartitionSet(seg int, dir, base string, fanout, ncols int, 
 			ps.abort()
 			return nil, fmt.Errorf("engine: creating spill partition: %w", err)
 		}
-		ps.parts[i] = &spillPartWriter{f: f, path: path, b: newChunkBuilder(ncols, 0)}
+		w := &spillPartWriter{
+			f:     f,
+			path:  path,
+			frame: Chunk{cols: make([][]int64, ncols), nulls: make([]nullBitmap, ncols)},
+		}
+		for c := range w.frame.cols {
+			off := c*ps.stride + i*bufRows
+			w.frame.cols[c] = ps.vals[off : off+bufRows : off+bufRows]
+		}
+		ps.parts[i] = w
 	}
-	ps.charged = int64(fanout) * int64(ps.bufRows) * int64(ncols) * 8
+	ps.charged = int64(len(ps.vals)) * 8
 	e.acct.charge(ps.charged)
 	return ps, nil
 }
 
-// appendRow routes all columns of row r of ch into partition p.
-func (ps *partitionSet) appendRow(p int, ch *Chunk, r int) error {
-	w := ps.parts[p]
-	for c := 0; c < ps.ncols; c++ {
-		w.b.appendCol(c, ch.cols[c][r], ch.nulls[c].get(r))
+// partitionFunc assigns rows lo .. lo+len(pids)-1 of ch to partitions,
+// writing -1 for a row that is dropped.
+type partitionFunc func(ch *Chunk, lo int, pids []int32)
+
+// keyPartitions partitions rows by the salted hash of one key column.
+// NULL keys go to partition 0 when keepNull is set (probe sides: they
+// never match but must surface for outer joins) and are dropped otherwise
+// (build sides never insert them).
+func keyPartitions(key, fanout int, salt uint64, keepNull bool) partitionFunc {
+	return func(ch *Chunk, lo int, pids []int32) {
+		for i, k := range ch.cols[key][lo : lo+len(pids)] {
+			pids[i] = int32(xrand.Mix64(uint64(k)^salt) % uint64(fanout))
+		}
+		if nb := ch.nulls[key]; nb != nil {
+			var null int32 = -1
+			if keepNull {
+				null = 0
+			}
+			for i := range pids {
+				if nb.get(lo + i) {
+					pids[i] = null
+				}
+			}
+		}
 	}
-	w.b.n++
-	if w.b.n >= ps.bufRows {
-		return ps.flush(p)
+}
+
+// rowPartitions partitions rows by the salted hash of their first nk
+// columns (group keys, or whole rows for DISTINCT), so all rows of one
+// group land in one partition.
+func rowPartitions(nk, fanout int, salt uint64) partitionFunc {
+	return func(ch *Chunk, lo int, pids []int32) {
+		for i := range pids {
+			pids[i] = int32(xrand.Mix64(chunkRowHash(ch, 0, nk, lo+i)^salt) % uint64(fanout))
+		}
+	}
+}
+
+// scatter routes every row of src to the partition part assigns it. When
+// the set is one column wider than src, the extra trailing column is the
+// hidden original-row index the spill kernels carry, written as the row's
+// position in src.
+//
+// Rows move column-at-a-time: for each block of rows the partition ids
+// are computed once, every row gets its buffer slot, and then each column
+// is copied into the buffers in one pass. A block is cut right after the
+// row that fills a buffer, and that buffer is flushed before the next row
+// is placed, so frames end at the same rows — and are written in the same
+// order — as appending one row at a time would produce.
+func (ps *partitionSet) scatter(src *Chunk, part partitionFunc) error {
+	hidden := ps.ncols == len(src.cols)+1
+	for lo := 0; lo < src.length; lo += scatterBlock {
+		n := min(scatterBlock, src.length-lo)
+		pids, slots := ps.pids[:n], ps.slots[:n]
+		part(src, lo, pids)
+		for start := 0; start < n; {
+			end, full := n, -1
+			for i := start; i < n; i++ {
+				p := pids[i]
+				if p < 0 {
+					slots[i] = -1
+					continue
+				}
+				w := ps.parts[p]
+				slots[i] = p*int32(ps.bufRows) + int32(w.frame.length)
+				w.frame.length++
+				if w.frame.length == ps.bufRows {
+					end, full = i+1, int(p)
+					break
+				}
+			}
+			ps.copyRows(src, lo, start, end, hidden)
+			if full >= 0 {
+				if err := ps.flush(full); err != nil {
+					return err
+				}
+			}
+			start = end
+		}
 	}
 	return nil
 }
 
-// appendRowExtra routes row r of ch plus one extra trailing value (the
-// hidden original-row-index column the spill kernels carry).
-func (ps *partitionSet) appendRowExtra(p int, ch *Chunk, r int, extra int64) error {
-	w := ps.parts[p]
-	nc := len(ch.cols)
-	for c := 0; c < nc; c++ {
-		w.b.appendCol(c, ch.cols[c][r], ch.nulls[c].get(r))
+// copyRows copies block rows start .. end-1 (rows lo+start .. lo+end-1 of
+// src) into the buffer slots scatter assigned them.
+func (ps *partitionSet) copyRows(src *Chunk, lo, start, end int, hidden bool) {
+	slots := ps.slots[start:end]
+	for c := range src.cols {
+		dst := ps.vals[c*ps.stride : (c+1)*ps.stride]
+		for i, v := range src.cols[c][lo+start : lo+end] {
+			if s := slots[i]; s >= 0 {
+				dst[s] = v
+			}
+		}
+		nb := src.nulls[c]
+		if nb == nil {
+			continue
+		}
+		for i, s := range slots {
+			if s >= 0 && nb.get(lo+start+i) {
+				ps.setNull(int(s), c)
+			}
+		}
 	}
-	w.b.appendCol(nc, extra, false)
-	w.b.n++
-	if w.b.n >= ps.bufRows {
-		return ps.flush(p)
+	if hidden {
+		dst := ps.vals[len(src.cols)*ps.stride:]
+		for i, s := range slots {
+			if s >= 0 {
+				dst[s] = int64(lo + start + i)
+			}
+		}
 	}
-	return nil
+}
+
+// setNull marks the buffered row at slot (p*bufRows + row) NULL in column
+// c, giving the open frame a bitmap for c on its first NULL there.
+func (ps *partitionSet) setNull(slot, c int) {
+	w := ps.parts[slot/ps.bufRows]
+	if w.frame.nulls[c] == nil {
+		w.frame.nulls[c] = newNullBitmap(ps.bufRows)
+	}
+	w.frame.nulls[c].set(slot % ps.bufRows)
+}
+
+// partitionChunk writes every row of ch, tagged with its hidden row
+// index, into a new set of fanout partition files — the first pass of a
+// spilling kernel.
+func (e *execEnv) partitionChunk(seg int, dir, base string, ch *Chunk, fanout int,
+	part partitionFunc, ioSeq *int64) ([]*spillPartWriter, error) {
+	ps, err := e.newPartitionSet(seg, dir, base, fanout, len(ch.cols)+1, ioSeq)
+	if err != nil {
+		return nil, err
+	}
+	if err := ps.scatter(ch, part); err != nil {
+		ps.abort()
+		return nil, err
+	}
+	return ps.finish()
+}
+
+// repartitionFile streams a partition file of ncols columns (the hidden
+// index already among them) into fanout sub-partitions.
+func (e *execEnv) repartitionFile(seg int, dir, base, path string, ncols, fanout int,
+	part partitionFunc, ioSeq *int64) ([]*spillPartWriter, error) {
+	ps, err := e.newPartitionSet(seg, dir, base, fanout, ncols, ioSeq)
+	if err != nil {
+		return nil, err
+	}
+	sr, err := openSpillReader(path)
+	if err != nil {
+		ps.abort()
+		return nil, err
+	}
+	defer sr.close()
+	for {
+		fr, err := sr.next()
+		if err == nil && fr == nil {
+			return ps.finish()
+		}
+		if err == nil {
+			err = ps.scatter(fr, part)
+		}
+		if err != nil {
+			ps.abort()
+			return nil, err
+		}
+	}
 }
 
 // writeSpillFrame length-prefixes, encodes and writes one frame through
@@ -377,20 +547,22 @@ func (e *execEnv) writeSpillFrame(seg int, f *os.File, scratch *[]byte, fr *Chun
 	return int64(len(buf)), nil
 }
 
-// flush encodes and writes partition p's buffered rows as one frame.
+// flush encodes and writes partition p's buffered rows as one frame and
+// empties the buffer for reuse.
 func (ps *partitionSet) flush(p int) error {
 	w := ps.parts[p]
-	if w.b.n == 0 {
+	n := w.frame.length
+	if n == 0 {
 		return nil
 	}
-	n := w.b.n
-	nb, err := ps.e.writeSpillFrame(ps.seg, w.f, &ps.scratch, w.b.finish(), ps.ioSeq)
+	nb, err := ps.e.writeSpillFrame(ps.seg, w.f, &ps.scratch, &w.frame, ps.ioSeq)
 	if err != nil {
 		return err
 	}
 	w.rows += int64(n)
 	w.bytes += nb
-	w.b = newChunkBuilder(ps.ncols, 0)
+	clear(w.frame.nulls)
+	w.frame.length = 0
 	return nil
 }
 

@@ -2,11 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
-
-	"dbcc/internal/xrand"
 )
 
 // Memory-bounded kernel variants: Grace-style partitioned hash join,
@@ -19,16 +18,23 @@ import (
 //
 // Every spilling variant is bit-identical to its in-memory kernel: rows
 // carry a hidden original-row-index column through the partition files,
-// and the final output is re-ordered by it —
+// and the partition outputs are placed into the final chunk by it, in
+// O(n) —
 //
-//   - grace join tags both sides, emits matches with hidden
-//     (probeIdx, buildIdx) columns (buildIdx −1 for the padded rows of a
-//     left outer join) and index-sorts the concatenated partition outputs
-//     by that pair, reproducing the in-memory order exactly: probe order,
-//     ascending build row within one probe row;
+//   - grace join tags both sides and emits every output row with its
+//     hidden probe index. A probe row's output rows all come from the one
+//     partition its key hashes to, and they are emitted in ascending
+//     build order: partition files keep input order, hash chains iterate
+//     in ascending build order, block nested-loop blocks are read in file
+//     order, and a pad row is emitted only when there is no match. So a
+//     stable counting placement on the probe index alone reproduces the
+//     in-memory order exactly: probe order, ascending build row within
+//     one probe row;
 //   - the fold adds a MIN aggregate over the hidden row index, giving
-//     each group its first-occurrence position, and sorts group rows by
-//     it — first-seen order, as groupChunk and distinctChunk produce;
+//     each group its first-occurrence position. Those positions are
+//     distinct values in [0, n), so a group's output row is its
+//     position's rank among them — first-seen order, as groupChunk and
+//     distinctChunk produce;
 //   - external sort splits the chunk into consecutive-range runs (ties
 //     within a run break by original position, the earlier run wins
 //     across runs), so the merge is exactly the stable in-memory sort.
@@ -55,81 +61,128 @@ func (e *execEnv) joinSegment(seg int, left, right *Chunk, lk, rk int, kind Join
 	var ioSeq int64
 
 	// Pass 0: partition both sides by the join key, tagging every row with
-	// its original index. NULL probe keys can never match but must still
-	// surface for outer joins, so they ride in partition 0; NULL build keys
-	// are dropped, as the in-memory kernel never inserts them.
-	lps, err := e.newPartitionSet(seg, dir, name+"_L", fan, lw+1, &ioSeq)
-	if err != nil {
-		return nil, err
-	}
+	// its original index.
 	salt := spillSalt(0)
-	lkeys, lnulls := left.cols[lk], left.nulls[lk]
-	for r := 0; r < left.length; r++ {
-		p := 0
-		if !lnulls.get(r) {
-			p = int(xrand.Mix64(uint64(lkeys[r])^salt) % uint64(fan))
-		}
-		if err := lps.appendRowExtra(p, left, r, int64(r)); err != nil {
-			lps.abort()
-			return nil, err
-		}
-	}
-	lparts, err := lps.finish()
+	lparts, err := e.partitionChunk(seg, dir, name+"_L", left, fan, keyPartitions(lk, fan, salt, true), &ioSeq)
 	if err != nil {
 		return nil, err
 	}
-	rps, err := e.newPartitionSet(seg, dir, name+"_R", fan, rw+1, &ioSeq)
-	if err != nil {
-		return nil, err
-	}
-	rkeys, rnulls := right.cols[rk], right.nulls[rk]
-	for r := 0; r < right.length; r++ {
-		if rnulls.get(r) {
-			continue
-		}
-		p := int(xrand.Mix64(uint64(rkeys[r])^salt) % uint64(fan))
-		if err := rps.appendRowExtra(p, right, r, int64(r)); err != nil {
-			rps.abort()
-			return nil, err
-		}
-	}
-	rparts, err := rps.finish()
+	rparts, err := e.partitionChunk(seg, dir, name+"_R", right, fan, keyPartitions(rk, fan, salt, false), &ioSeq)
 	if err != nil {
 		return nil, err
 	}
 
-	out := newChunkBuilder(lw+rw+2, 0)
+	var outs []*Chunk
 	for p := 0; p < fan; p++ {
 		child := fmt.Sprintf("%s_p%d", name, p)
-		if err := e.graceJoinPart(seg, dir, child, out, lparts[p], rparts[p],
+		if err := e.graceJoinPart(seg, dir, child, &outs, lparts[p], rparts[p],
 			lw, rw, lk, rk, kind, int64(right.length), 1, &ioSeq); err != nil {
 			return nil, err
 		}
 	}
-	res := out.finish()
+	return e.placeJoinOutputs(outs, left.length, lw, rw), nil
+}
 
-	// Restore the in-memory emission order via the hidden index pair, then
-	// strip the hidden columns.
-	pc, bc := res.cols[lw+rw], res.cols[lw+rw+1]
-	idx := make([]int32, res.length)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
-		if pc[a] != pc[b] {
-			return pc[a] < pc[b]
+// placeJoinOutputs assembles the grace join's partition outputs — layout
+// [probe columns, hidden probe index, build columns] — into the final
+// chunk in the in-memory kernel's order, by a stable counting placement on
+// the probe index (see the file comment for why that suffices).
+func (e *execEnv) placeJoinOutputs(outs []*Chunk, probeRows, lw, rw int) *Chunk {
+	win := e.placeWindow(probeRows, 4)
+	next := make([]int32, win+1)
+	e.acct.charge(int64(len(next)) * 4)
+	defer e.acct.release(int64(len(next)) * 4)
+	placed := 0
+	for lo := 0; lo < probeRows; lo += win {
+		a, b := int64(lo), int64(min(lo+win, probeRows))
+		clear(next)
+		for _, o := range outs {
+			for _, p := range o.cols[lw][:o.length] {
+				if p >= a && p < b {
+					next[p-a+1]++
+				}
+			}
 		}
-		return bc[a] < bc[b]
-	})
-	return stripCols(gatherChunk(res, idx), lw+rw), nil
+		// next[i] becomes the first output row of probe row lo+i.
+		next[0] = int32(placed)
+		for i := 1; i <= int(b-a); i++ {
+			next[i] += next[i-1]
+		}
+		placed = int(next[b-a])
+		for _, o := range outs {
+			hc := o.cols[lw][:o.length]
+			for r, p := range hc {
+				if p >= a && p < b {
+					hc[r] = -1 - int64(next[p-a])
+					next[p-a]++
+				}
+			}
+		}
+	}
+	srcCols := make([]int, 0, lw+rw)
+	for c := 0; c < lw+1+rw; c++ {
+		if c != lw {
+			srcCols = append(srcCols, c)
+		}
+	}
+	return placeOutputs(outs, placed, lw, srcCols)
+}
+
+// placeWindow sizes the index window one placement pass covers: as many
+// indices as the share holds at bytesPer scratch bytes each. A pass is
+// linear in the output rows, and the window spans the whole domain — one
+// pass — unless the budget is tiny relative to the input.
+func (e *execEnv) placeWindow(domain int, bytesPer int64) int {
+	return int(max(1, min(int64(domain), e.segShare()/bytesPer)))
+}
+
+// placeOutputs moves the rows of the partition outputs into a new chunk
+// of total rows: output row r goes to row -1-o.cols[hc][r] (the hidden
+// column, overwritten by the placement pass), column c of the result
+// taking output column srcCols[c]. The outputs are placed straight into
+// the result, never concatenated first, and each is dropped once placed so
+// the collector can reclaim it while the rest are placed.
+func placeOutputs(outs []*Chunk, total, hc int, srcCols []int) *Chunk {
+	res := newChunk(len(srcCols), total)
+	for i, o := range outs {
+		dst := o.cols[hc][:o.length]
+		for r, v := range dst {
+			dst[r] = -1 - v
+		}
+		for c, sc := range srcCols {
+			placeCol(res, c, o, sc, dst)
+		}
+		outs[i] = nil
+	}
+	return res
+}
+
+// placeCol copies column sc of src into column dc of dst, row r going to
+// row dstRows[r]. NULL rows get a NULL bit and a zero payload, as
+// gatherCol produces.
+func placeCol(dst *Chunk, dc int, src *Chunk, sc int, dstRows []int64) {
+	vals, out := src.cols[sc], dst.cols[dc]
+	nb := src.nulls[sc]
+	if nb == nil {
+		for r, d := range dstRows {
+			out[d] = vals[r]
+		}
+		return
+	}
+	for r, d := range dstRows {
+		if nb.get(r) {
+			dst.ensureNulls(dc).set(int(d))
+		} else {
+			out[d] = vals[r]
+		}
+	}
 }
 
 // graceJoinPart processes one partition pair: re-partitioned with a fresh
 // salt while the build side still exceeds the share (and is still
 // shrinking — identical keys cannot be split further), joined in memory
-// otherwise. Matches are appended to out with the hidden index pair.
-func (e *execEnv) graceJoinPart(seg int, dir, name string, out *chunkBuilder,
+// otherwise. Each joined partition appends its output chunk to outs.
+func (e *execEnv) graceJoinPart(seg int, dir, name string, outs *[]*Chunk,
 	lpart, rpart *spillPartWriter, lw, rw, lk, rk int, kind JoinKind,
 	parentBuildRows int64, depth int, ioSeq *int64) error {
 	buildRows := rpart.rows
@@ -137,17 +190,17 @@ func (e *execEnv) graceJoinPart(seg int, dir, name string, out *chunkBuilder,
 	if e.shouldSpill(est) && depth < maxSpillDepth && buildRows < parentBuildRows {
 		fan := spillFanout(est, e.segShare(), int64(max(lw, rw)+1)*8)
 		salt := spillSalt(depth)
-		lsub, err := e.repartitionByKey(seg, dir, name+"_L", lpart.path, lw+1, lk, fan, salt, true, ioSeq)
+		lsub, err := e.repartitionFile(seg, dir, name+"_L", lpart.path, lw+1, fan, keyPartitions(lk, fan, salt, true), ioSeq)
 		if err != nil {
 			return err
 		}
-		rsub, err := e.repartitionByKey(seg, dir, name+"_R", rpart.path, rw+1, rk, fan, salt, false, ioSeq)
+		rsub, err := e.repartitionFile(seg, dir, name+"_R", rpart.path, rw+1, fan, keyPartitions(rk, fan, salt, false), ioSeq)
 		if err != nil {
 			return err
 		}
 		for p := 0; p < fan; p++ {
 			child := fmt.Sprintf("%s_d%d_p%d", name, depth, p)
-			if err := e.graceJoinPart(seg, dir, child, out, lsub[p], rsub[p],
+			if err := e.graceJoinPart(seg, dir, child, outs, lsub[p], rsub[p],
 				lw, rw, lk, rk, kind, buildRows, depth+1, ioSeq); err != nil {
 				return err
 			}
@@ -155,104 +208,49 @@ func (e *execEnv) graceJoinPart(seg int, dir, name string, out *chunkBuilder,
 		return nil
 	}
 
-	if !e.shouldSpill(est) {
-		build, err := readPartition(rpart.path, rw+1)
+	if e.shouldSpill(est) {
+		// The partition still exceeds the share but cannot shrink (one
+		// extremely hot key, or the depth cap): no amount of
+		// re-partitioning helps.
+		return e.blockJoinPart(outs, lpart, rpart, lw, rw, lk, rk, kind)
+	}
+	build, err := readPartition(rpart.path, rw+1)
+	if err != nil {
+		return err
+	}
+	charge := chunkFootprint(build) + joinTableBytes(build.length)
+	e.acct.charge(charge)
+	defer e.acct.release(charge)
+	jt := buildJoinTable(build, rk)
+	right := stripCols(build, rw)
+	out := newChunkBuilder(lw+1+rw, 0)
+	sr, err := openSpillReader(lpart.path)
+	if err != nil {
+		return err
+	}
+	defer sr.close()
+	for {
+		pf, err := sr.next()
 		if err != nil {
 			return err
 		}
-		charge := chunkFootprint(build) + joinTableBytes(build.length)
-		e.acct.charge(charge)
-		defer e.acct.release(charge)
-		jt := newJoinTable(build.length)
-		bkeys := build.cols[rk]
-		for i := build.length - 1; i >= 0; i-- {
-			jt.insert(bkeys[i], int32(i))
+		if pf == nil {
+			break
 		}
-		sr, err := openSpillReader(lpart.path)
-		if err != nil {
-			return err
-		}
-		defer sr.close()
-		for {
-			pf, err := sr.next()
-			if err != nil {
-				return err
-			}
-			if pf == nil {
-				return nil
-			}
-			if err := probeAgainst(out, pf, build, jt, lw, rw, lk, rk, kind, nil, 0); err != nil {
-				return err
-			}
-		}
+		probeJoinTable(out, pf, lk, right, jt, kind)
 	}
-	// The partition still exceeds the share but cannot shrink (one
-	// extremely hot key, or the depth cap): no amount of re-partitioning
-	// helps, so fall back to a block nested-loop hash join — the build
-	// side streams through in blocks that fit the share, the probe side is
-	// re-scanned once per block. Matches carry the hidden index pair, so
-	// the final re-sort restores the exact in-memory order regardless of
-	// block boundaries.
-	return e.blockJoinPart(lpart, rpart, out, lw, rw, lk, rk, kind)
-}
-
-// probeAgainst streams one probe frame through a build chunk's hash
-// table, appending matches (with the hidden index pair) to out. When
-// matched is nil (single-table grace mode) unmatched probe rows of a left
-// outer join are padded immediately; when non-nil (block nested-loop
-// mode, where a row unmatched by this block may match a later one) it
-// records which probe ordinals found a match instead, and the caller
-// emits the pads in a final pass. ordBase is the ordinal of the frame's
-// first row.
-func probeAgainst(out *chunkBuilder, pf, build *Chunk, jt *joinTable, lw, rw, lk, rk int,
-	kind JoinKind, matched []uint64, ordBase int64) error {
-	pkeys, pnulls := pf.cols[lk], pf.nulls[lk]
-	pidx := pf.cols[lw]
-	bidx := build.cols[rw]
-	for r := 0; r < pf.length; r++ {
-		m := int32(-1)
-		if !pnulls.get(r) {
-			m = jt.lookup(pkeys[r])
-		}
-		if m < 0 {
-			if matched == nil && kind == LeftOuterJoin {
-				for c := 0; c < lw; c++ {
-					out.appendCol(c, pf.cols[c][r], pf.nulls[c].get(r))
-				}
-				for c := 0; c < rw; c++ {
-					out.appendCol(lw+c, 0, true)
-				}
-				out.appendCol(lw+rw, pidx[r], false)
-				out.appendCol(lw+rw+1, -1, false)
-				out.n++
-			}
-			continue
-		}
-		if matched != nil {
-			ord := ordBase + int64(r)
-			matched[ord/64] |= 1 << (uint(ord) % 64)
-		}
-		for ; m >= 0; m = jt.next[m] {
-			for c := 0; c < lw; c++ {
-				out.appendCol(c, pf.cols[c][r], pf.nulls[c].get(r))
-			}
-			for c := 0; c < rw; c++ {
-				out.appendCol(lw+c, build.cols[c][int(m)], build.nulls[c].get(int(m)))
-			}
-			out.appendCol(lw+rw, pidx[r], false)
-			out.appendCol(lw+rw+1, bidx[m], false)
-			out.n++
-		}
-	}
+	*outs = append(*outs, out.finish())
 	return nil
 }
 
-// blockJoinPart joins one unsplittable partition pair within the share:
-// the build file streams through in fixed-size blocks, each block's hash
-// table probes the whole probe file, and (for outer joins) a bitmap over
-// probe ordinals collects matches so pad rows are emitted exactly once in
-// a final pass.
-func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder,
+// blockJoinPart joins one unsplittable partition pair within the share as
+// a block nested-loop hash join: the build file streams through in
+// fixed-size blocks, each block's hash table probes the whole probe file
+// as an inner join, and (for outer joins) a bitmap over probe ordinals
+// collects the matched rows so pad rows are emitted exactly once in a
+// final pass. Blocks are read in file order, so each probe row's matches
+// still come out in ascending build order.
+func (e *execEnv) blockJoinPart(outs *[]*Chunk, lpart, rpart *spillPartWriter,
 	lw, rw, lk, rk int, kind JoinKind) error {
 	share := e.segShare()
 	rowB := int64(rw+1) * 8
@@ -272,12 +270,10 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder
 	e.acct.charge(charge)
 	defer e.acct.release(charge)
 
+	out := newChunkBuilder(lw+1+rw, 0)
 	probeAll := func(block *Chunk) error {
-		jt := newJoinTable(block.length)
-		bkeys := block.cols[rk]
-		for i := block.length - 1; i >= 0; i-- {
-			jt.insert(bkeys[i], int32(i))
-		}
+		jt := buildJoinTable(block, rk)
+		right := stripCols(block, rw)
 		sr, err := openSpillReader(lpart.path)
 		if err != nil {
 			return err
@@ -292,14 +288,25 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder
 			if pf == nil {
 				return nil
 			}
-			if err := probeAgainst(out, pf, block, jt, lw, rw, lk, rk, kind, matched, ord); err != nil {
-				return err
+			from := out.n
+			probeJoinTable(out, pf, lk, right, jt, InnerJoin)
+			if matched != nil {
+				// Both the frame's probe indices and those of the rows just
+				// emitted ascend, so one merge walk finds each matched row.
+				pidx, r := pf.cols[lw], 0
+				for _, v := range out.cols[lw][from:out.n] {
+					for pidx[r] != v {
+						r++
+					}
+					o := ord + int64(r)
+					matched[o/64] |= 1 << (uint(o) % 64)
+				}
 			}
 			ord += int64(pf.length)
 		}
 	}
 
-	bb := newChunkBuilder(rw+1, 0)
+	bb := newChunkBuilder(rw+1, blockRows)
 	br, err := openSpillReader(rpart.path)
 	if err != nil {
 		return err
@@ -313,16 +320,15 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder
 		if bf == nil {
 			break
 		}
-		for r := 0; r < bf.length; r++ {
-			for c := 0; c <= rw; c++ {
-				bb.appendCol(c, bf.cols[c][r], bf.nulls[c].get(r))
-			}
-			bb.n++
-			if bb.n >= blockRows {
+		for lo := 0; lo < bf.length; {
+			hi := min(bf.length, lo+blockRows-bb.n)
+			bb.appendRows(bf, lo, hi)
+			lo = hi
+			if bb.n == blockRows {
 				if err := probeAll(bb.finish()); err != nil {
 					return err
 				}
-				bb = newChunkBuilder(rw+1, 0)
+				bb = newChunkBuilder(rw+1, blockRows)
 			}
 		}
 	}
@@ -332,85 +338,32 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder
 		}
 	}
 
-	if kind != LeftOuterJoin {
-		return nil
-	}
-	// Pad pass: probe rows no block matched (NULL keys included).
-	sr, err := openSpillReader(lpart.path)
-	if err != nil {
-		return err
-	}
-	defer sr.close()
-	var ord int64
-	for {
-		pf, err := sr.next()
+	if kind == LeftOuterJoin {
+		// Pad pass: probe rows no block matched (NULL keys included).
+		sr, err := openSpillReader(lpart.path)
 		if err != nil {
 			return err
 		}
-		if pf == nil {
-			return nil
-		}
-		for r := 0; r < pf.length; r++ {
-			o := ord + int64(r)
-			if matched[o/64]&(1<<(uint(o)%64)) != 0 {
-				continue
+		defer sr.close()
+		var ord int64
+		for {
+			pf, err := sr.next()
+			if err != nil {
+				return err
 			}
-			for c := 0; c < lw; c++ {
-				out.appendCol(c, pf.cols[c][r], pf.nulls[c].get(r))
+			if pf == nil {
+				break
 			}
-			for c := 0; c < rw; c++ {
-				out.appendCol(lw+c, 0, true)
-			}
-			out.appendCol(lw+rw, pf.cols[lw][r], false)
-			out.appendCol(lw+rw+1, -1, false)
-			out.n++
-		}
-		ord += int64(pf.length)
-	}
-}
-
-// repartitionByKey streams a partition file into fanout sub-partitions
-// under a new salt. Rows already carry their hidden index column; the key
-// column position is unchanged. keepNull routes NULL-key rows to
-// sub-partition 0 (probe sides); files never contain NULL build keys.
-func (e *execEnv) repartitionByKey(seg int, dir, base, path string, ncols, key, fanout int,
-	salt uint64, keepNull bool, ioSeq *int64) ([]*spillPartWriter, error) {
-	ps, err := e.newPartitionSet(seg, dir, base, fanout, ncols, ioSeq)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := openSpillReader(path)
-	if err != nil {
-		ps.abort()
-		return nil, err
-	}
-	defer sr.close()
-	for {
-		fr, err := sr.next()
-		if err != nil {
-			ps.abort()
-			return nil, err
-		}
-		if fr == nil {
-			break
-		}
-		keys, nulls := fr.cols[key], fr.nulls[key]
-		for r := 0; r < fr.length; r++ {
-			p := 0
-			if nulls.get(r) {
-				if !keepNull {
-					continue
+			for r := 0; r < pf.length; r++ {
+				if o := ord + int64(r); matched[o/64]&(1<<(uint(o)%64)) == 0 {
+					out.appendOuterRow(pf, r, rw)
 				}
-			} else {
-				p = int(xrand.Mix64(uint64(keys[r])^salt) % uint64(fanout))
 			}
-			if err := ps.appendRow(p, fr, r); err != nil {
-				ps.abort()
-				return nil, err
-			}
+			ord += int64(pf.length)
 		}
 	}
-	return ps.finish()
+	*outs = append(*outs, out.finish())
+	return nil
 }
 
 // foldSegment folds one segment's partial-layout chunk (group-by) or
@@ -439,19 +392,7 @@ func (e *execEnv) foldSegment(seg int, in *Chunk, nk int, aggs []Agg, distinct b
 
 	// Pass 0: partition by key hash, tagging rows with their original
 	// index; all rows of one group land in one partition.
-	ps, err := e.newPartitionSet(seg, dir, name, fan, ncols+1, &ioSeq)
-	if err != nil {
-		return nil, err
-	}
-	salt := spillSalt(0)
-	for r := 0; r < in.length; r++ {
-		p := int(xrand.Mix64(chunkRowHash(in, 0, nk, r)^salt) % uint64(fan))
-		if err := ps.appendRowExtra(p, in, r, int64(r)); err != nil {
-			ps.abort()
-			return nil, err
-		}
-	}
-	parts, err := ps.finish()
+	parts, err := e.partitionChunk(seg, dir, name, in, fan, rowPartitions(nk, fan, spillSalt(0)), &ioSeq)
 	if err != nil {
 		return nil, err
 	}
@@ -469,16 +410,51 @@ func (e *execEnv) foldSegment(seg int, in *Chunk, nk int, aggs []Agg, distinct b
 			return nil, err
 		}
 	}
-	all := concatChunks(ncols+1, outs)
+	return e.placeFoldOutputs(outs, in.length, ncols), nil
+}
 
-	// Restore first-seen order via the hidden first-occurrence column.
-	hidden := all.cols[ncols]
-	idx := make([]int32, all.length)
-	for i := range idx {
-		idx[i] = int32(i)
+// placeFoldOutputs assembles the fold's partition outputs — ncols columns
+// plus the hidden first-occurrence index — into the final chunk in
+// first-seen order. The first occurrences are distinct values in
+// [0, inRows), so a group's row is the rank of its first occurrence in a
+// bitmap of them.
+func (e *execEnv) placeFoldOutputs(outs []*Chunk, inRows, ncols int) *Chunk {
+	words := (inRows + 63) / 64
+	win := e.placeWindow(words, 8+4)
+	seen := make([]uint64, win)
+	rank := make([]int32, win) // set bits in the window's earlier words
+	e.acct.charge(int64(win) * (8 + 4))
+	defer e.acct.release(int64(win) * (8 + 4))
+	placed := 0
+	for lo := 0; lo < words; lo += win {
+		a, b := int64(lo)*64, int64(min(lo+win, words))*64
+		clear(seen)
+		for _, o := range outs {
+			for _, h := range o.cols[ncols][:o.length] {
+				if h >= a && h < b {
+					seen[(h-a)>>6] |= 1 << (uint64(h) & 63)
+				}
+			}
+		}
+		for w := range seen {
+			rank[w] = int32(placed)
+			placed += bits.OnesCount64(seen[w])
+		}
+		for _, o := range outs {
+			hc := o.cols[ncols][:o.length]
+			for r, h := range hc {
+				if h >= a && h < b {
+					w, below := (h-a)>>6, uint64(1)<<(uint64(h)&63)-1
+					hc[r] = -1 - int64(rank[w]) - int64(bits.OnesCount64(seen[w]&below))
+				}
+			}
+		}
 	}
-	sort.Slice(idx, func(i, j int) bool { return hidden[idx[i]] < hidden[idx[j]] })
-	return stripCols(gatherChunk(all, idx), ncols), nil
+	srcCols := make([]int, ncols)
+	for c := range srcCols {
+		srcCols[c] = c
+	}
+	return placeOutputs(outs, placed, ncols, srcCols)
 }
 
 // foldPartition folds one partition file into group rows, recursing with
@@ -491,37 +467,7 @@ func (e *execEnv) foldPartition(seg int, dir, name string, part *spillPartWriter
 	est := part.rows*int64(fcols)*8 + groupTableBytes(int(part.rows))
 	if e.shouldSpill(est) && depth < maxSpillDepth && part.rows < parentRows {
 		fan := spillFanout(est, e.segShare(), int64(fcols)*8)
-		salt := spillSalt(depth)
-		ps, err := e.newPartitionSet(seg, dir, name, fan, fcols, ioSeq)
-		if err != nil {
-			return err
-		}
-		sr, err := openSpillReader(part.path)
-		if err != nil {
-			ps.abort()
-			return err
-		}
-		for {
-			fr, err := sr.next()
-			if err != nil {
-				sr.close()
-				ps.abort()
-				return err
-			}
-			if fr == nil {
-				break
-			}
-			for r := 0; r < fr.length; r++ {
-				p := int(xrand.Mix64(chunkRowHash(fr, 0, nk, r)^salt) % uint64(fan))
-				if err := ps.appendRow(p, fr, r); err != nil {
-					sr.close()
-					ps.abort()
-					return err
-				}
-			}
-		}
-		sr.close()
-		sub, err := ps.finish()
+		sub, err := e.repartitionFile(seg, dir, name, part.path, fcols, fan, rowPartitions(nk, fan, spillSalt(depth)), ioSeq)
 		if err != nil {
 			return err
 		}

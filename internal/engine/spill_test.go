@@ -2,7 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -345,4 +348,318 @@ func TestSpillCodecRejectsCorrupt(t *testing.T) {
 	if _, _, err := decodeChunkFrame(stray); err == nil {
 		t.Fatal("stray bitmap bits decoded successfully")
 	}
+}
+
+// TestSpillJoinHotKeyMatchesInMemory drives the block nested-loop
+// fallback of the grace join: one hot key that no re-partitioning can
+// split, with more build rows than one block holds, plus NULL probe keys
+// that ride in the same partition. The hot key is chosen to live on the
+// segment that holds the NULL keys and to hash to partition 0 at the two
+// depths that run (the fan-outs are powers of two, so partition 0 of 32 is
+// partition 0 of every fan-out), and every other key lives elsewhere — so
+// segment 0's partition 0 holds only hot rows, cannot shrink, and falls
+// back to block mode with the NULL probe rows in it. Inner joins probe the
+// blocks; left outer joins also pad the NULL rows in the final pass.
+func TestSpillJoinHotKeyMatchesInMemory(t *testing.T) {
+	const segs = 4
+	hot := int64(-1)
+	for k := int64(0); hot < 0; k++ {
+		if xrand.Mix64(uint64(k))%segs == 0 &&
+			xrand.Mix64(uint64(k)^spillSalt(0))%32 == 0 &&
+			xrand.Mix64(uint64(k)^spillSalt(1))%32 == 0 {
+			hot = k
+		}
+	}
+	rng := xrand.New(151)
+	var rows []Row
+	nHot, nNull := 0, 0
+	for len(rows) < 400 {
+		switch x := rng.Uint64n(10); {
+		case x < 2:
+			rows = append(rows, Row{I(hot), I(int64(len(rows)))})
+			nHot++
+		case x < 3:
+			rows = append(rows, Row{NullDatum, I(int64(len(rows)))})
+			nNull++
+		default:
+			k := int64(rng.Uint64n(1 << 20))
+			if k == hot || xrand.Mix64(uint64(k))%segs == 0 {
+				continue
+			}
+			rows = append(rows, Row{I(k), I(int64(len(rows)))})
+		}
+	}
+	// One block holds share/(2*(rowBytes+52)) = 6 build rows; the hot key
+	// must span several.
+	if nHot < 40 || nNull < 10 {
+		t.Fatalf("workload too small: %d hot rows, %d NULL keys", nHot, nNull)
+	}
+	mem, spill := spillPair(t, Schema{"k", "x"}, rows)
+	for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
+		p := JoinPlan{Left: Scan("t"), Right: Scan("t"), LeftKey: 0, RightKey: 0, Kind: kind}
+		runBoth(t, mem, spill, p)
+	}
+}
+
+// refPartition is the row-at-a-time partitioner the block scatter of
+// partitionSet replaced, kept as the reference the scatter's files must
+// match byte for byte: each row is routed on its own, appended one value
+// at a time to its partition's builder, and a partition is flushed as one
+// frame the moment it holds bufRows rows. With hidden set, each row also
+// gets its position among all the frames' rows as a trailing column. It
+// returns the rows and bytes written per partition file.
+func refPartition(t *testing.T, e *execEnv, dir string, frames []*Chunk, fanout, bufRows int,
+	hidden bool, route func(ch *Chunk, r int) int) (rows, bytes []int64) {
+	t.Helper()
+	ncols := len(frames[0].cols)
+	if hidden {
+		ncols++
+	}
+	files := make([]*os.File, fanout)
+	builders := make([]*chunkBuilder, fanout)
+	rows, bytes = make([]int64, fanout), make([]int64, fanout)
+	var scratch []byte
+	var ioSeq int64
+	flush := func(p int) {
+		if builders[p].n == 0 {
+			return
+		}
+		n := builders[p].n
+		nb, err := e.writeSpillFrame(0, files[p], &scratch, builders[p].finish(), &ioSeq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[p] += int64(n)
+		bytes[p] += nb
+		builders[p] = newChunkBuilder(ncols, 0)
+	}
+	for p := range files {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("x_p%d.part", p)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		files[p] = f
+		builders[p] = newChunkBuilder(ncols, 0)
+	}
+	var idx int64
+	for _, ch := range frames {
+		for r := 0; r < ch.length; r, idx = r+1, idx+1 {
+			p := route(ch, r)
+			if p < 0 {
+				continue
+			}
+			b := builders[p]
+			for c := range ch.cols {
+				b.appendCol(c, ch.cols[c][r], ch.nulls[c].get(r))
+			}
+			if hidden {
+				b.appendCol(len(ch.cols), idx, false)
+			}
+			b.n++
+			if b.n >= bufRows {
+				flush(p)
+			}
+		}
+	}
+	for p := range builders {
+		flush(p)
+	}
+	return rows, bytes
+}
+
+// scatterCase is one partitioning run compared against refPartition.
+type scatterCase struct {
+	frames   []*Chunk
+	fanout   int
+	bufRows  int
+	repart   bool // re-partition a file of the frames, else pass 0 over their concatenation
+	byRow    bool // partition by the hash of the first two columns, else by column 0
+	keepNull bool // NULL keys go to partition 0, else they are dropped
+}
+
+// checkScatter partitions sc's rows with the production partitionSet and
+// with refPartition and asserts identical per-partition row and byte
+// counts and byte-identical files.
+func checkScatter(t *testing.T, sc scatterCase) {
+	t.Helper()
+	ncols := len(sc.frames[0].cols)
+	width := ncols
+	if !sc.repart {
+		width++
+	}
+	// The share that makes spillBufRows pick sc.bufRows (1 is the floor).
+	share := int64(sc.bufRows) * 2 * int64(sc.fanout) * int64(width) * 8
+	if sc.bufRows == 1 {
+		share = 1
+	}
+	c := NewCluster(Options{Segments: 1, MemoryBudget: share})
+	e := c.newExecEnv(context.Background())
+	if got := spillBufRows(e.segShare(), sc.fanout, width); got != sc.bufRows {
+		t.Fatalf("share %d gives %d buffer rows, want %d", share, got, sc.bufRows)
+	}
+	salt := spillSalt(3)
+	part := keyPartitions(0, sc.fanout, salt, sc.keepNull)
+	route := func(ch *Chunk, r int) int {
+		if ch.nulls[0].get(r) {
+			if sc.keepNull {
+				return 0
+			}
+			return -1
+		}
+		return int(xrand.Mix64(uint64(ch.cols[0][r])^salt) % uint64(sc.fanout))
+	}
+	if sc.byRow {
+		part = rowPartitions(2, sc.fanout, salt)
+		route = func(ch *Chunk, r int) int {
+			return int(xrand.Mix64(chunkRowHash(ch, 0, 2, r)^salt) % uint64(sc.fanout))
+		}
+	}
+
+	gotDir, wantDir := t.TempDir(), t.TempDir()
+	var ioSeq int64
+	var ws []*spillPartWriter
+	var err error
+	if sc.repart {
+		src := filepath.Join(gotDir, "src.part")
+		f, err := os.Create(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scratch []byte
+		for _, fr := range sc.frames {
+			if _, err := e.writeSpillFrame(0, f, &scratch, fr, &ioSeq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Close()
+		ws, err = e.repartitionFile(0, gotDir, "x", src, ncols, sc.fanout, part, &ioSeq)
+	} else {
+		ws, err = e.partitionChunk(0, gotDir, "x", concatChunks(ncols, sc.frames), sc.fanout, part, &ioSeq)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if used := e.acct.used.Load(); used != 0 {
+		t.Fatalf("partition set left %d bytes charged", used)
+	}
+	wantRows, wantBytes := refPartition(t, e, wantDir, sc.frames, sc.fanout, sc.bufRows, !sc.repart, route)
+	for p, w := range ws {
+		if w.rows != wantRows[p] || w.bytes != wantBytes[p] {
+			t.Fatalf("partition %d: %d rows / %d bytes, reference %d / %d",
+				p, w.rows, w.bytes, wantRows[p], wantBytes[p])
+		}
+		got, err := os.ReadFile(w.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(wantDir, fmt.Sprintf("x_p%d.part", p)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("partition %d: file differs from the reference (%d vs %d bytes)", p, len(got), len(want))
+		}
+	}
+}
+
+// randomFrames builds frames of random sizes with three columns: a key
+// over keys distinct values and two payloads. NULLs appear in the key
+// (nullKey) and in payload column 2 (nullPayload) with probability 1/8.
+func randomFrames(rng *xrand.Rand, n, keys int, nullKey, nullPayload bool) []*Chunk {
+	var frames []*Chunk
+	for n > 0 {
+		size := min(n, 1+int(rng.Uint64n(300)))
+		n -= size
+		b := newChunkBuilder(3, 0)
+		for r := 0; r < size; r++ {
+			b.appendCol(0, int64(rng.Uint64n(uint64(keys))), nullKey && rng.Uint64n(8) == 0)
+			b.appendCol(1, int64(rng.Uint64()), false)
+			b.appendCol(2, int64(rng.Uint64()), nullPayload && rng.Uint64n(8) == 0)
+			b.n++
+		}
+		frames = append(frames, b.finish())
+	}
+	return frames
+}
+
+// TestSpillScatterMatchesReference pins the partition files of the block
+// scatter to the row-at-a-time reference: the same frames, at the same
+// boundaries, byte for byte.
+func TestSpillScatterMatchesReference(t *testing.T) {
+	rng := xrand.New(157)
+	cases := map[string]scatterCase{
+		"nulls in key and payload": {frames: randomFrames(rng, 3000, 500, true, true),
+			fanout: 8, bufRows: 64, keepNull: true},
+		"dropped NULL build keys": {frames: randomFrames(rng, 3000, 500, true, true),
+			fanout: 8, bufRows: 64},
+		"one-row buffers": {frames: randomFrames(rng, 500, 50, true, true),
+			fanout: 4, bufRows: 1, keepNull: true},
+		"many frames per partition": {frames: randomFrames(rng, 5000, 1000, false, true),
+			fanout: 4, bufRows: 16},
+		"fan-out 2": {frames: randomFrames(rng, 2000, 100, true, false),
+			fanout: 2, bufRows: 100, keepNull: true},
+		"fan-out 32": {frames: randomFrames(rng, 4000, 4000, true, true),
+			fanout: 32, bufRows: 8},
+		"full buffers": {frames: randomFrames(rng, 3000, 3000, false, false),
+			fanout: 4, bufRows: 1024},
+		"group rows": {frames: randomFrames(rng, 3000, 40, true, true),
+			fanout: 16, bufRows: 32, byRow: true},
+	}
+	for name, sc := range cases {
+		t.Run(name, func(t *testing.T) {
+			checkScatter(t, sc)
+			sc.repart = true
+			checkScatter(t, sc)
+		})
+	}
+}
+
+// FuzzSpillScatter compares the block scatter with the row-at-a-time
+// reference on arbitrary inputs. The first three bytes pick the fan-out
+// (a power of two, 2..32), the buffer rows (1..64), and the mode (bit 0:
+// re-partition a file, bit 1: partition by row hash, bit 2: keep NULL
+// keys); every further 3 bytes are one row (up to 512), 0xff meaning
+// NULL.
+func FuzzSpillScatter(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 2, 3})
+	f.Add([]byte{4, 63, 7, 0xff, 1, 0xff, 2, 2, 2, 3, 0xff, 9})
+	seed := []byte{2, 2, 4}
+	for i := 0; i < 300; i++ {
+		seed = append(seed, byte(i*7), byte(i), byte(255-i))
+	}
+	f.Add(seed)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		sc := scatterCase{
+			fanout:   2 << (data[0] % 5),
+			bufRows:  1 + int(data[1]%64),
+			repart:   data[2]&1 != 0,
+			byRow:    data[2]&2 != 0,
+			keepNull: data[2]&4 != 0,
+		}
+		data = data[3:]
+		n := min(len(data)/3, 512)
+		b := newChunkBuilder(3, 0)
+		for r := 0; r < n; r++ {
+			for c := 0; c < 3; c++ {
+				v := data[3*r+c]
+				b.appendCol(c, int64(int8(v)), v == 0xff)
+			}
+			b.n++
+		}
+		// Split into frames of 1..8 rows, as a re-partitioned file holds.
+		all := b.finish()
+		for lo := 0; lo < n; {
+			hi := min(n, lo+1+int(data[lo%len(data)]%8))
+			fb := newChunkBuilder(3, 0)
+			fb.appendRows(all, lo, hi)
+			sc.frames = append(sc.frames, fb.finish())
+			lo = hi
+		}
+		checkScatter(t, sc)
+	})
 }

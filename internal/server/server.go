@@ -674,15 +674,18 @@ func (cs *connState) serveSubscribe(payload []byte, br *bufio.Reader) {
 				cs.sendError(wire.CodeUnavailable, "subscription dropped (slow consumer or index dropped)")
 				return
 			}
+			// Counted before the write so a client that has read the frame
+			// never sees stats that miss it; a failed write is uncounted.
+			s.notifies.Add(1)
 			if !cs.send(wire.Frame{Type: wire.TypeNotify, Payload: wire.EncodeNotify(wire.Notify{
 				Seq:  ev.Seq,
 				Kind: ev.Kind,
 				From: ev.From,
 				To:   ev.To,
 			})}) {
+				s.notifies.Add(-1)
 				return
 			}
-			s.notifies.Add(1)
 		case <-s.drainCh:
 			cs.sendError(wire.CodeUnavailable, ErrDraining.Error())
 			return
